@@ -174,20 +174,28 @@ void PrintComparison(const std::string& metric, const std::string& paper,
   rec.comparisons.push_back({metric, paper, measured});
 }
 
-double TimeWarmedPasses(int reps, const std::function<void()>& pass) {
-  pass();  // untimed warmup
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int rep = 0; rep < reps; ++rep) pass();
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(t1 - t0).count();
-}
-
-double TimeWarmedPassesBestOf(int trials, int reps, const std::function<void()>& pass) {
-  double best = std::numeric_limits<double>::infinity();
+std::vector<RegionTiming> TimeRegions(int trials, double min_region_s,
+                                      const std::vector<std::function<void()>>& passes) {
+  using Clock = std::chrono::steady_clock;
+  for (const auto& pass : passes) pass();  // untimed warmup
+  std::vector<RegionTiming> timings(passes.size());
+  for (RegionTiming& t : timings) t.best = std::numeric_limits<double>::infinity();
   for (int trial = 0; trial < std::max(trials, 1); ++trial) {
-    best = std::min(best, TimeWarmedPasses(reps, pass));
+    for (std::size_t p = 0; p < passes.size(); ++p) {
+      const auto t0 = Clock::now();
+      int count = 0;
+      double elapsed = 0.0;
+      while (elapsed < min_region_s) {
+        passes[p]();
+        ++count;
+        elapsed = std::chrono::duration<double>(Clock::now() - t0).count();
+      }
+      RegionTiming& t = timings[p];
+      t.best = std::min(t.best, elapsed / count);
+      t.worst = std::max(t.worst, elapsed / count);
+    }
   }
-  return best;
+  return timings;
 }
 
 }  // namespace dapple::bench

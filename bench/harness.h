@@ -55,18 +55,26 @@ void PrintHeader(const std::string& title, const std::string& paper_anchor);
 void PrintComparison(const std::string& metric, const std::string& paper,
                      const std::string& measured);
 
-/// Wall seconds of `reps` identical passes of `pass`, measured after one
-/// untimed warmup pass. The warmup populates per-engine arenas, SoA
-/// flatten scratch and allocator caches, so per-row engine comparisons
-/// time steady-state throughput instead of charging first-pass allocation
-/// to whichever engine happens to run first.
-double TimeWarmedPasses(int reps, const std::function<void()>& pass);
+/// Per-pass wall seconds over several timed regions of one workload.
+struct RegionTiming {
+  double best = 0.0;   // fastest region's seconds per pass
+  double worst = 0.0;  // slowest region's seconds per pass
 
-/// Minimum of `trials` TimeWarmedPasses measurements. Engine-vs-engine
-/// ratio rows use the best-of so a scheduler hiccup in one trial cannot
-/// fail a floor assertion; the minimum is the standard low-noise estimator
-/// for deterministic CPU-bound work.
-double TimeWarmedPassesBestOf(int trials, int reps, const std::function<void()>& pass);
+  /// (worst - best) / best: how far the regions disagreed.
+  double Spread() const { return best > 0.0 ? (worst - best) / best : 0.0; }
+};
+
+/// Times `trials` rounds of regions, one region per pass in `passes`. One
+/// untimed warmup of each pass first fills thread-local arenas and
+/// allocator caches; each region then repeats its pass until at least
+/// `min_region_s` seconds have elapsed, long enough that timer resolution
+/// and a short scheduler hiccup cannot decide a comparison.
+/// Each round times the passes back to back, so a slow phase of the host
+/// lands on every row of a comparison alike. Ratio gates use `best`, the
+/// standard low-noise estimator for deterministic CPU-bound work, and
+/// print the spread next to it. Result i belongs to passes[i].
+std::vector<RegionTiming> TimeRegions(int trials, double min_region_s,
+                                      const std::vector<std::function<void()>>& passes);
 
 // Every PrintHeader / PrintComparison / Evaluate call is also recorded; when
 // DAPPLE_BENCH_JSON_DIR is set, the process writes the accumulated record to

@@ -14,7 +14,6 @@
 #include "planner/prefilter.h"
 #include "sim/batch.h"
 #include "sim/engine.h"
-#include "sim/soa.h"
 #include "topo/device_set.h"
 
 namespace dapple::check {
@@ -514,19 +513,19 @@ RankingFuzzOutcome RunRankingFuzzCase(const RankingFuzzCase& c, bool prefilter) 
           runtime::GraphBuilder(c.model, c.cluster,
                                 c.candidates[static_cast<std::size_t>(i)], c.options)
               .Build();
-      return sim::SoaEngine::Run(built.graph, built.engine_options).makespan;
+      return sim::Engine::Run(built.graph, built.engine_options).makespan;
     } catch (const std::exception&) {
       return std::numeric_limits<double>::infinity();
     }
   };
 
-  planner::RankingOptions ro;
-  ro.prefilter = prefilter;
+  sim::PrefilterOptions po;
+  po.enabled = prefilter;
   const planner::RankingResult pre =
-      planner::RankCandidates(estimator, candidates, simulate, ro);
-  ro.prefilter = false;
+      planner::RankCandidates(estimator, candidates, simulate, po);
+  po.enabled = false;
   const planner::RankingResult full =
-      planner::RankCandidates(estimator, candidates, simulate, ro);
+      planner::RankCandidates(estimator, candidates, simulate, po);
 
   out.num_simulated = static_cast<int>(pre.sim.simulated.size());
   out.best_prefiltered = pre.best;

@@ -183,12 +183,4 @@ std::vector<PeakVsMPoint> PeakVsMCurve(const model::ModelProfile& model,
                                        const std::vector<int>& micro_batch_counts,
                                        const PeakVsMOptions& curve_options);
 
-/// Back-compat overload: `sim_threads` only, prefilter off.
-std::vector<PeakVsMPoint> PeakVsMCurve(const model::ModelProfile& model,
-                                       const topo::Cluster& cluster,
-                                       const planner::ParallelPlan& plan,
-                                       runtime::BuildOptions options,
-                                       const std::vector<int>& micro_batch_counts,
-                                       int sim_threads = 1);
-
 }  // namespace dapple::obs

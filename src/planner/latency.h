@@ -113,12 +113,8 @@ struct LatencyOptions {
   /// when either flag is set.
   bool recompute = false;
   /// Extra fraction of *forward* time charged to backward when recomputing
-  /// (the replayed forward pass). The paper's §II-A figure — "recomputation
-  /// brings ~20% extra backward overhead" — translates to 0.4 here because
-  /// the zoo's profiles (and the paper's workloads) have backward ≈ 2x
-  /// forward: 0.4 x F = 0.2 x B. Calibrated against the simulator's
-  /// recompute path (see tests/memory_cap_test.cc).
-  double recompute_overhead = 0.4;
+  /// (the replayed forward pass); see runtime::kRecomputeOverhead.
+  double recompute_overhead = runtime::kRecomputeOverhead;
 };
 
 /// Micro-batching rule shared by the estimator and the runtime. The ideal

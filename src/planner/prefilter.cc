@@ -9,7 +9,7 @@ namespace dapple::planner {
 RankingResult RankCandidates(const LatencyEstimator& estimator,
                              const std::vector<RankingCandidate>& candidates,
                              const std::function<double(int)>& simulate,
-                             const RankingOptions& options) {
+                             const sim::PrefilterOptions& options) {
   RankingResult result;
   {
     sim::BatchRunner scorer({.threads = options.threads});
@@ -21,12 +21,7 @@ RankingResult RankCandidates(const LatencyEstimator& estimator,
         });
   }
 
-  sim::PrefilterOptions po;
-  po.enabled = options.prefilter;
-  po.analytic_over_sim = options.analytic_over_sim;
-  po.probe = options.probe;
-  po.threads = options.threads;
-  result.sim = sim::PrefilterBatch(result.scores, simulate, po);
+  result.sim = sim::PrefilterBatch(result.scores, simulate, options);
   result.best = result.sim.best;
   return result;
 }

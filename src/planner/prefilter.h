@@ -9,15 +9,15 @@
 // pure planner/sim composition.
 //
 // The cut derives from the two calibrated analytic/sim brackets
-// (check/fuzz.h): on DAPPLE split-mode plans without a warmup override,
-// analytic <= kAnalyticOverSim x sim and sim <= kSimOverAnalytic x analytic.
-// The adaptive cut (sim/prefilter.h) simulates only candidates scoring
-// within kAnalyticOverSim x (best simulated makespan); its keep-set never
-// exceeds the static worst-case band of
-// kAnalyticOverSim x kSimOverAnalytic = 2.6x over the analytic argmin, and
-// the true sim-best provably survives either cut. Candidates outside the
-// calibrated family void the guarantee; widen
-// RankingOptions::analytic_over_sim or disable the prefilter there.
+// (sim/prefilter.h): on DAPPLE split-mode plans without a warmup override,
+// analytic <= sim::kAnalyticOverSimCommTolerance x sim and
+// sim <= sim::kSimOverAnalyticTolerance x analytic. The adaptive cut
+// simulates only candidates scoring within
+// kAnalyticOverSimCommTolerance x (best simulated makespan); its keep-set
+// never exceeds the static worst-case band sim::kPrefilterBand = 2.6x over
+// the analytic argmin, and the true sim-best provably survives either cut.
+// Candidates outside the calibrated family void the guarantee; disable the
+// prefilter there (PrefilterOptions::enabled = false).
 #pragma once
 
 #include <functional>
@@ -29,34 +29,10 @@
 
 namespace dapple::planner {
 
-/// Analytic-over-sim bracket factor the adaptive cut uses. Mirrors
-/// check::kAnalyticOverSimCommTolerance — the fuzz harness pins the bracket
-/// itself, tests/prefilter_test.cc pins this mirror (planner cannot include
-/// check headers; check links planner, not the reverse).
-inline constexpr double kPrefilterAnalyticOverSim = 1.30;
-/// Sim-over-analytic bracket factor; mirrors check::kSimOverAnalyticTolerance.
-inline constexpr double kPrefilterSimOverAnalytic = 2.0;
-/// The static worst-case keep band: the adaptive cut's keep-set is always
-/// within this multiple of the minimum analytic score, and so is the true
-/// sim-best candidate.
-inline constexpr double kPrefilterBand =
-    kPrefilterAnalyticOverSim * kPrefilterSimOverAnalytic;
-
 /// One ranking candidate: a plan evaluated at a global batch size.
 struct RankingCandidate {
   ParallelPlan plan;
   long global_batch_size = 0;
-};
-
-struct RankingOptions {
-  /// False simulates every feasible candidate (the --prefilter=off oracle).
-  bool prefilter = true;
-  /// Bracket factor for the adaptive cut (see sim::PrefilterOptions).
-  double analytic_over_sim = kPrefilterAnalyticOverSim;
-  /// Phase-1 probe simulations anchoring the cut.
-  int probe = 8;
-  /// Worker threads for both the scoring pass and the simulations.
-  int threads = 1;
 };
 
 struct RankingResult {
@@ -70,12 +46,12 @@ struct RankingResult {
   int best = -1;
 };
 
-/// Scores all candidates with `estimator`, then simulates the surviving
-/// band through `simulate` (candidate index -> simulated makespan).
-/// Deterministic at every thread count.
+/// Scores all candidates with `estimator` on options.threads workers, then
+/// simulates the surviving band through `simulate` (candidate index ->
+/// simulated makespan). Deterministic at every thread count.
 RankingResult RankCandidates(const LatencyEstimator& estimator,
                              const std::vector<RankingCandidate>& candidates,
                              const std::function<double(int)>& simulate,
-                             const RankingOptions& options = {});
+                             const sim::PrefilterOptions& options = {});
 
 }  // namespace dapple::planner

@@ -72,6 +72,16 @@ int NumGroups(ScheduleKind kind, int num_stages);
 /// group, which is what bounds peak activation relative to 1F1B's S.
 int VStashCap(ScheduleKind kind, int stage, int num_stages);
 
+/// Default extra backward cost of re-computation, as a fraction of
+/// *forward* time (the replayed forward pass). The paper's §II-A figure —
+/// "recomputation brings ~20% extra backward overhead" — translates to 0.4
+/// because the zoo's profiles (and the paper's workloads) have backward ≈ 2x
+/// forward: 0.4 x F = 0.2 x B. Both the simulator's graph builder
+/// (ScheduleOptions) and the analytic estimator (planner::LatencyOptions)
+/// default to it, so capped plans tuned by one simulate alike under the
+/// other (tests/memory_cap_test.cc).
+inline constexpr double kRecomputeOverhead = 0.4;
+
 struct ScheduleOptions {
   ScheduleKind kind = ScheduleKind::kDapple;
   WarmupPolicy warmup = WarmupPolicy::kPA;
@@ -80,11 +90,8 @@ struct ScheduleOptions {
   /// planner::StagePlan::recompute; a stage recomputes when either is set.
   bool recompute = false;
   /// Extra backward cost as a fraction of *forward* time when recomputing
-  /// (the replayed forward). 0.4 x F = 0.2 x B on the zoo's backward ≈ 2x
-  /// forward profiles — the paper's §II-A "~20% extra backward overhead".
-  /// Must match planner::LatencyOptions::recompute_overhead (regression-
-  /// tested in tests/memory_cap_test.cc).
-  double recompute_overhead = 0.4;
+  /// (the replayed forward); see kRecomputeOverhead.
+  double recompute_overhead = kRecomputeOverhead;
   /// Ablation hook: force the warmup depth K for every stage (still
   /// clamped by M and the memory limit). 0 = use the policy formulas.
   int warmup_override = 0;

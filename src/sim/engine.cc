@@ -1,6 +1,7 @@
 #include "sim/engine.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <queue>
 #include <set>
@@ -62,8 +63,20 @@ bool SimResult::AnyOom() const {
                      [](const MemoryPool& p) { return p.oom(); });
 }
 
-namespace internal {
+namespace {
 
+// Scaffolding shared by Engine and the reference engine, so their results
+// stay byte-identical by construction, not by parallel maintenance.
+
+/// Pool count: the graph's pools widened by any capacity/baseline entries.
+int NumPools(int graph_pools, const EngineOptions& options) {
+  return std::max(graph_pools,
+                  static_cast<int>(std::max(options.pool_capacities.size(),
+                                            options.pool_baselines.size())));
+}
+
+/// Prepares the SimResult shell (records, usage slots, pools with
+/// capacities/baselines applied).
 SimResult MakeResultShell(int num_tasks, const EngineOptions& options,
                           int num_resources, int num_pools) {
   SimResult result;
@@ -82,12 +95,8 @@ SimResult MakeResultShell(int num_tasks, const EngineOptions& options,
   return result;
 }
 
-int NumPools(int graph_pools, const EngineOptions& options) {
-  return std::max(graph_pools,
-                  static_cast<int>(std::max(options.pool_capacities.size(),
-                                            options.pool_baselines.size())));
-}
-
+/// Validates speed profiles and maps them onto resources (nullptr = fixed
+/// unit speed, the exact legacy arithmetic).
 void IndexProfiles(const EngineOptions& options, int num_resources,
                    std::vector<const ResourceSpeedProfile*>& profile_of) {
   for (const ResourceSpeedProfile& p : options.resource_speeds) {
@@ -104,6 +113,7 @@ void IndexProfiles(const EngineOptions& options, int num_resources,
   }
 }
 
+/// Diagnostic for a graph that can never complete (dependency cycle).
 [[noreturn]] void ThrowDeadlock(const TaskGraph& graph, const SimResult& result,
                                 int executed) {
   std::ostringstream os;
@@ -119,64 +129,167 @@ void IndexProfiles(const EngineOptions& options, int num_resources,
   throw Error(os.str());
 }
 
-}  // namespace internal
+// --- Engine (structure-of-arrays layout + thread-local arena) --------------
 
-using internal::IndexProfiles;
-using internal::MakeResultShell;
-using internal::NumPools;
-using internal::ThrowDeadlock;
+/// Packs (priority, id) into one unsigned key whose integer order equals
+/// the lexicographic dispatch order: the signed priority is biased into the
+/// high 32 bits, the (non-negative) task id fills the low 32.
+inline std::uint64_t PackReadyKey(int priority, TaskId id) {
+  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(priority) ^ 0x80000000u)
+          << 32) |
+         static_cast<std::uint32_t>(id);
+}
 
-// --- Engine (arena + indexed binary heaps) ---------------------------------
+inline TaskId KeyTask(std::uint64_t key) {
+  return static_cast<TaskId>(static_cast<std::uint32_t>(key));
+}
 
-SimResult Engine::Simulate(const TaskGraph& graph, const EngineOptions& options) {
-  // std::push_heap/pop_heap build max-heaps, so both comparators are the
-  // *reverse* of the dispatch order: the lowest key surfaces at front().
-  auto ready_later = [](const Event& a, const Event& b) {
-    if (a.priority != b.priority) return a.priority > b.priority;
-    return a.task > b.task;
+/// Everything one Engine run needs besides the SimResult: the graph
+/// flattened into per-field arrays (the hot fields of each Task without its
+/// cold name string, successors as CSR spans) and the event-loop state.
+/// Every vector is re-armed with resize()/assign()/clear(), which keep
+/// capacity, so after the first run of a given shape nothing allocates.
+class Arena {
+ public:
+  SimResult Simulate(const TaskGraph& graph, const EngineOptions& options);
+
+ private:
+  /// Completion-heap entry; drains in (time, key) ascending order, which is
+  /// exactly (time, priority, id).
+  struct Completion {
+    TimeSec time = 0.0;
+    std::uint64_t key = 0;
   };
-  // Completion drain order, reversed: (time, priority, id) ascending on top.
-  auto completion_later = [](const Event& a, const Event& b) {
+
+  /// One linear pass over `graph` into the per-task arrays; also arms the
+  /// remaining-predecessor counters.
+  void Flatten(const TaskGraph& graph);
+
+  // Per-task arrays, indexed by TaskId.
+  std::vector<TimeSec> duration_;
+  std::vector<std::int32_t> resource_;
+  std::vector<std::uint8_t> is_compute_;
+  /// Pool affected at start (alloc) / end (free); -1 when the task has no
+  /// such effect, folding the `pool >= 0 && bytes > 0` test into one sign
+  /// check.
+  std::vector<std::int32_t> alloc_pool_;
+  std::vector<std::int32_t> free_pool_;
+  std::vector<Bytes> alloc_bytes_;
+  std::vector<Bytes> free_bytes_;
+  std::vector<std::uint64_t> ready_key_;
+  /// Successors of task t are succ_[succ_offsets_[t] .. succ_offsets_[t+1]).
+  std::vector<std::int32_t> succ_offsets_;
+  std::vector<std::int32_t> succ_;
+  std::vector<std::int32_t> pending_;  // remaining predecessors
+
+  // Event-loop state.
+  std::vector<const ResourceSpeedProfile*> profile_of_;
+  std::vector<std::vector<std::uint64_t>> ready_;  // packed min-heap per resource
+  std::vector<std::uint8_t> busy_;                 // resource occupied flag
+  std::vector<Completion> completions_;
+  std::vector<std::int32_t> wake_;
+};
+
+void Arena::Flatten(const TaskGraph& graph) {
+  const int n = graph.num_tasks();
+  const auto un = static_cast<std::size_t>(n);
+  duration_.resize(un);
+  resource_.resize(un);
+  is_compute_.resize(un);
+  alloc_pool_.resize(un);
+  free_pool_.resize(un);
+  alloc_bytes_.resize(un);
+  free_bytes_.resize(un);
+  ready_key_.resize(un);
+  pending_.resize(un);
+  succ_offsets_.resize(un + 1);
+
+  std::size_t edges = 0;
+  for (TaskId t = 0; t < n; ++t) edges += graph.successors(t).size();
+  succ_.resize(edges);
+
+  std::int32_t offset = 0;
+  for (TaskId t = 0; t < n; ++t) {
+    const Task& task = graph.task(t);
+    const auto ut = static_cast<std::size_t>(t);
+    duration_[ut] = task.duration;
+    resource_[ut] = task.resource;
+    is_compute_[ut] = IsComputeKind(task.kind) ? 1 : 0;
+    alloc_pool_[ut] = task.pool >= 0 && task.alloc_at_start > 0 ? task.pool : -1;
+    free_pool_[ut] = task.pool >= 0 && task.free_at_end > 0 ? task.pool : -1;
+    alloc_bytes_[ut] = task.alloc_at_start;
+    free_bytes_[ut] = task.free_at_end;
+    ready_key_[ut] = PackReadyKey(task.priority, t);
+    pending_[ut] = graph.in_degree(t);
+    succ_offsets_[ut] = offset;
+    for (TaskId s : graph.successors(t)) {
+      succ_[static_cast<std::size_t>(offset++)] = s;
+    }
+  }
+  succ_offsets_[un] = offset;
+}
+
+SimResult Arena::Simulate(const TaskGraph& graph, const EngineOptions& options) {
+  // Heap comparators are the reverse of the drain order (std::push_heap
+  // builds max-heaps): lowest (time, key) / lowest key surfaces at front().
+  auto completion_later = [](const Completion& a, const Completion& b) {
     if (a.time != b.time) return a.time > b.time;
-    if (a.priority != b.priority) return a.priority > b.priority;
-    return a.task > b.task;
+    return a.key > b.key;
   };
+  auto ready_later = [](std::uint64_t a, std::uint64_t b) { return a > b; };
 
+  Flatten(graph);
   const int n = graph.num_tasks();
   const int num_resources = std::max(graph.num_resources(), 1);
   const int num_pools = NumPools(graph.num_pools(), options);
 
   SimResult result = MakeResultShell(n, options, num_resources, num_pools);
 
-  // Re-arm the arena. assign()/clear() keep each vector's capacity, so after
-  // the first run of a given shape the event loop allocates nothing.
-  pending_.assign(static_cast<std::size_t>(n), 0);
-  for (TaskId t = 0; t < n; ++t) pending_[static_cast<std::size_t>(t)] = graph.in_degree(t);
+  // Hot array bases, hoisted so the event loop indexes raw pointers instead
+  // of re-reading vector headers.
+  const TimeSec* const duration = duration_.data();
+  const std::int32_t* const resource_of = resource_.data();
+  const std::uint8_t* const is_compute = is_compute_.data();
+  const std::int32_t* const alloc_pool = alloc_pool_.data();
+  const std::int32_t* const free_pool = free_pool_.data();
+  const Bytes* const alloc_bytes = alloc_bytes_.data();
+  const Bytes* const free_bytes = free_bytes_.data();
+  const std::uint64_t* const ready_key = ready_key_.data();
+  const std::int32_t* const succ_offsets = succ_offsets_.data();
+  const std::int32_t* const succ = succ_.data();
+
   profile_of_.assign(static_cast<std::size_t>(num_resources), nullptr);
   IndexProfiles(options, num_resources, profile_of_);
+  const bool any_profile = !options.resource_speeds.empty();
   if (ready_.size() < static_cast<std::size_t>(num_resources)) {
     ready_.resize(static_cast<std::size_t>(num_resources));
   }
   for (int r = 0; r < num_resources; ++r) ready_[static_cast<std::size_t>(r)].clear();
-  running_.assign(static_cast<std::size_t>(num_resources), kInvalidTask);
+  busy_.assign(static_cast<std::size_t>(num_resources), 0);
   completions_.clear();
   wake_.clear();
 
+  TaskRecord* const records = result.records.data();
   int executed = 0;
   TimeSec now = 0.0;
 
   auto start_task = [&](TaskId id) {
-    const Task& task = graph.task(id);
-    running_[static_cast<std::size_t>(task.resource)] = id;
-    auto& rec = result.records[static_cast<std::size_t>(id)];
+    const auto uid = static_cast<std::size_t>(id);
+    const std::int32_t res = resource_of[uid];
+    busy_[static_cast<std::size_t>(res)] = 1;
+    TaskRecord& rec = records[uid];
     rec.id = id;
     rec.start = now;
     rec.started = true;
-    const ResourceSpeedProfile* profile =
-        profile_of_[static_cast<std::size_t>(task.resource)];
-    rec.end = profile ? FinishTime(*profile, now, task.duration) : now + task.duration;
-    if (task.pool >= 0 && task.alloc_at_start > 0) {
-      result.pools[static_cast<std::size_t>(task.pool)].Allocate(now, task.alloc_at_start);
+    if (!any_profile) {
+      rec.end = now + duration[uid];
+    } else {
+      const ResourceSpeedProfile* profile = profile_of_[static_cast<std::size_t>(res)];
+      rec.end = profile ? FinishTime(*profile, now, duration[uid]) : now + duration[uid];
+    }
+    const std::int32_t apool = alloc_pool[uid];
+    if (apool >= 0) {
+      result.pools[static_cast<std::size_t>(apool)].Allocate(now, alloc_bytes[uid]);
     }
     if (rec.end == std::numeric_limits<TimeSec>::infinity()) {
       // Pinned by a permanent zero-speed window: the resource stays
@@ -185,23 +298,23 @@ SimResult Engine::Simulate(const TaskGraph& graph, const EngineOptions& options)
       return;
     }
     rec.executed = true;
-    completions_.push_back({rec.end, task.priority, id});
+    completions_.push_back({rec.end, ready_key[uid]});
     std::push_heap(completions_.begin(), completions_.end(), completion_later);
   };
 
-  auto dispatch_resource = [&](ResourceId r) {
+  auto dispatch_resource = [&](std::int32_t r) {
     auto& queue = ready_[static_cast<std::size_t>(r)];
-    if (running_[static_cast<std::size_t>(r)] != kInvalidTask || queue.empty()) return;
+    if (busy_[static_cast<std::size_t>(r)] != 0 || queue.empty()) return;
     std::pop_heap(queue.begin(), queue.end(), ready_later);
-    const TaskId next = queue.back().task;
+    const TaskId next = KeyTask(queue.back());
     queue.pop_back();
     start_task(next);
   };
 
   auto enqueue_ready = [&](TaskId id) {
-    const Task& task = graph.task(id);
-    auto& queue = ready_[static_cast<std::size_t>(task.resource)];
-    queue.push_back({0.0, task.priority, id});
+    const auto uid = static_cast<std::size_t>(id);
+    auto& queue = ready_[static_cast<std::size_t>(resource_of[uid])];
+    queue.push_back(ready_key[uid]);
     std::push_heap(queue.begin(), queue.end(), ready_later);
   };
 
@@ -209,51 +322,54 @@ SimResult Engine::Simulate(const TaskGraph& graph, const EngineOptions& options)
   for (TaskId t = 0; t < n; ++t) {
     if (pending_[static_cast<std::size_t>(t)] == 0) enqueue_ready(t);
   }
-  for (ResourceId r = 0; r < num_resources; ++r) dispatch_resource(r);
+  for (std::int32_t r = 0; r < num_resources; ++r) dispatch_resource(r);
 
   while (!completions_.empty()) {
     std::pop_heap(completions_.begin(), completions_.end(), completion_later);
-    const Event done = completions_.back();
+    const Completion done = completions_.back();
     completions_.pop_back();
     now = done.time;
-    const Task& task = graph.task(done.task);
+    const TaskId id = KeyTask(done.key);
+    const auto uid = static_cast<std::size_t>(id);
+    const std::int32_t res = resource_of[uid];
 
     ++executed;
-    auto& usage = result.resources[static_cast<std::size_t>(task.resource)];
-    if (usage.tasks_executed == 0) {
-      usage.first_start = result.records[static_cast<std::size_t>(done.task)].start;
-    }
+    ResourceUsage& usage = result.resources[static_cast<std::size_t>(res)];
+    if (usage.tasks_executed == 0) usage.first_start = records[uid].start;
     // With a speed profile the wall-clock occupancy differs from the work;
     // without one, use the duration directly to keep legacy runs bit-exact.
     const TimeSec elapsed =
-        profile_of_[static_cast<std::size_t>(task.resource)] != nullptr
-            ? done.time - result.records[static_cast<std::size_t>(done.task)].start
-            : task.duration;
+        any_profile && profile_of_[static_cast<std::size_t>(res)] != nullptr
+            ? done.time - records[uid].start
+            : duration[uid];
     usage.busy += elapsed;
-    if (IsComputeKind(task.kind)) usage.compute_busy += elapsed;
+    if (is_compute[uid]) usage.compute_busy += elapsed;
     usage.last_end = now;
     usage.tasks_executed++;
     result.makespan = std::max(result.makespan, now);
 
-    if (task.pool >= 0 && task.free_at_end > 0) {
-      result.pools[static_cast<std::size_t>(task.pool)].Free(now, task.free_at_end);
+    const std::int32_t fpool = free_pool[uid];
+    if (fpool >= 0) {
+      result.pools[static_cast<std::size_t>(fpool)].Free(now, free_bytes[uid]);
     }
 
-    running_[static_cast<std::size_t>(task.resource)] = kInvalidTask;
+    busy_[static_cast<std::size_t>(res)] = 0;
 
     // Only the freed resource and resources whose ready queue gained a task
     // can start something; dispatching is idempotent, so duplicates in the
     // wake list are harmless. Dispatching exactly those keeps the loop
     // O(successors) per event instead of O(num_resources).
     wake_.clear();
-    wake_.push_back(task.resource);
-    for (TaskId succ : graph.successors(done.task)) {
-      if (--pending_[static_cast<std::size_t>(succ)] == 0) {
-        enqueue_ready(succ);
-        wake_.push_back(graph.task(succ).resource);
+    wake_.push_back(res);
+    const std::int32_t succ_end = succ_offsets[uid + 1];
+    for (std::int32_t e = succ_offsets[uid]; e < succ_end; ++e) {
+      const TaskId s = succ[static_cast<std::size_t>(e)];
+      if (--pending_[static_cast<std::size_t>(s)] == 0) {
+        enqueue_ready(s);
+        wake_.push_back(resource_of[static_cast<std::size_t>(s)]);
       }
     }
-    for (ResourceId r : wake_) dispatch_resource(r);
+    for (const std::int32_t r : wake_) dispatch_resource(r);
   }
 
   if (executed != n) {
@@ -275,9 +391,11 @@ SimResult Engine::Simulate(const TaskGraph& graph, const EngineOptions& options)
   return result;
 }
 
+}  // namespace
+
 SimResult Engine::Run(const TaskGraph& graph, EngineOptions options) {
-  thread_local Engine engine;
-  return engine.Simulate(graph, options);
+  thread_local Arena arena;
+  return arena.Simulate(graph, options);
 }
 
 // --- Reference engine (legacy containers, same ordering contract) ----------

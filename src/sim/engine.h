@@ -17,6 +17,10 @@
 // reproducible — byte-identical traces, reports and memory high-water
 // marks on every host and at every sim::BatchRunner thread count.
 //
+// Two implementations honor the contract: Engine, the one production
+// engine every caller runs, and RunReferenceEngine, a plain-container
+// oracle kept only to check Engine against.
+//
 // This is the substitute for the paper's GPU testbed: schedule shape,
 // bubbles, overlap and peak memory all emerge from the same dependency
 // structure the real runtime has.
@@ -116,76 +120,33 @@ struct EngineOptions {
   bool allow_incomplete = false;
 };
 
-/// Discrete-event engine with a per-instance arena: the ready queues (one
-/// indexed binary min-heap per resource, keyed (priority, id)), the
-/// completion heap (keyed (time, priority, id)) and every bookkeeping
-/// vector are owned by the Engine and reused across Simulate() calls, so a
-/// run performs no per-event heap allocation after the first simulation of
-/// a given shape warms the arena. (The returned SimResult still allocates
-/// its records/pools — per run, not per event.)
+/// The production engine. Run flattens the graph into a structure-of-arrays
+/// layout — contiguous per-field arrays indexed by TaskId, CSR successor
+/// spans, and (priority, id) ready keys packed into one uint64 so heap
+/// sifts compare a single integer — then drives the event loop over those
+/// arrays instead of the ~100-byte Task records. The flatten buffers, the
+/// ready heaps (one per resource), the completion heap and every
+/// bookkeeping vector live in a thread-local arena that keeps its capacity
+/// across runs, so each thread — each sim::BatchRunner worker in particular
+/// — pays one linear copy and no per-event allocation once warmed, and
+/// concurrent runs never share mutable state. (The returned SimResult still
+/// allocates its records/pools — per run, not per event.)
 class Engine {
  public:
-  Engine() = default;
-  Engine(const Engine&) = delete;
-  Engine& operator=(const Engine&) = delete;
+  Engine() = delete;
 
-  /// Runs the graph to completion on this engine's arena. Throws
-  /// dapple::Error on dependency cycles (some tasks can never become
-  /// ready).
-  SimResult Simulate(const TaskGraph& graph, const EngineOptions& options = {});
-
-  /// Convenience entry point: simulates on a thread-local Engine, so every
-  /// thread — each sim::BatchRunner worker in particular — keeps its own
-  /// warmed arena and concurrent runs never share mutable state.
+  /// Runs the graph to completion. Throws dapple::Error on dependency
+  /// cycles (some tasks can never become ready) unless
+  /// options.allow_incomplete is set. Counts sim.runs.
   static SimResult Run(const TaskGraph& graph, EngineOptions options = {});
-
- private:
-  /// Heap entry for both queues; `time` is unused (0) in ready heaps.
-  struct Event {
-    TimeSec time = 0.0;
-    int priority = 0;
-    TaskId task = kInvalidTask;
-  };
-
-  // Arena, reused across Simulate() calls. Inner ready heaps are cleared,
-  // never deallocated, so steady-state runs reuse their capacity.
-  std::vector<int> pending_;
-  std::vector<const ResourceSpeedProfile*> profile_of_;
-  std::vector<std::vector<Event>> ready_;  // binary min-heap per resource
-  std::vector<TaskId> running_;
-  std::vector<Event> completions_;  // binary min-heap
-  std::vector<ResourceId> wake_;
 };
 
-/// The pre-arena engine (ordered-set ready queues, std::priority_queue
-/// completion events), kept as the differential oracle: the determinism
-/// sweep and bench_sim_engine run it against Engine and require
-/// byte-identical results. Same (time, priority, id) completion contract;
-/// allocation-heavy, so use Engine everywhere else.
+/// The differential oracle: ordered-set ready queues and a
+/// std::priority_queue of completions, read straight off the TaskGraph.
+/// Same (time, priority, id) completion contract as Engine; the
+/// determinism sweep, the trace goldens and bench_sim_engine require the
+/// two to be byte-identical. Allocation-heavy, so use Engine everywhere
+/// else. Counts sim.reference_runs, not sim.runs.
 SimResult RunReferenceEngine(const TaskGraph& graph, const EngineOptions& options = {});
-
-namespace internal {
-
-/// Scaffolding shared by all three engines (reference, arena, SoA) so their
-/// results stay byte-identical by construction, not by parallel maintenance.
-
-/// Pool count: the graph's pools widened by any capacity/baseline entries.
-int NumPools(int graph_pools, const EngineOptions& options);
-
-/// Prepares the SimResult shell (records, usage slots, pools with
-/// capacities/baselines applied).
-SimResult MakeResultShell(int num_tasks, const EngineOptions& options,
-                          int num_resources, int num_pools);
-
-/// Validates speed profiles and maps them onto resources (nullptr = fixed
-/// unit speed, the exact legacy arithmetic).
-void IndexProfiles(const EngineOptions& options, int num_resources,
-                   std::vector<const ResourceSpeedProfile*>& profile_of);
-
-/// Diagnostic for a graph that can never complete (dependency cycle).
-[[noreturn]] void ThrowDeadlock(const TaskGraph& graph, const SimResult& result,
-                                int executed);
-
-}  // namespace internal
 
 }  // namespace dapple::sim

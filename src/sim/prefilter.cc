@@ -80,7 +80,7 @@ PrefilterResult PrefilterBatch(const std::vector<double>& scores,
 
     // Phase 2: everything that could still beat the probe's best. The
     // order is score-ascending, so the survivors are a prefix.
-    result.cutoff = options.analytic_over_sim * best_sim;
+    result.cutoff = kAnalyticOverSimCommTolerance * best_sim;
     std::size_t keep_end = probe;
     while (keep_end < order.size() &&
            scores[static_cast<std::size_t>(order[keep_end])] <= result.cutoff) {

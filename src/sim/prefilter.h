@@ -2,10 +2,10 @@
 //
 // Ranking P candidates by simulated makespan costs P graph builds + P
 // simulations. When every candidate also has a cheap analytic score that
-// brackets its simulated value (check/fuzz.h pins the bracket:
+// brackets its simulated value (the calibrated brackets below:
 // analytic <= 1.30 x sim and sim <= 2.0 x analytic for DAPPLE split-mode
-// plans), most of that budget is provably wasted. PrefilterBatch runs a
-// two-phase adaptive cut:
+// plans, pinned by the check/fuzz.h harness), most of that budget is
+// provably wasted. PrefilterBatch runs a two-phase adaptive cut:
 //
 //   1. probe: simulate the `probe` best-scored candidates; call the best
 //      simulated makespan so far S.
@@ -23,6 +23,10 @@
 // This header is score-agnostic: planner::RankCandidates (planner/
 // prefilter.h) supplies the analytic scores; tests/prefilter_test.cc and
 // the fuzz ranking sweep fence the recall property end to end.
+//
+// The bracket factors live here, the lowest layer that uses them; the
+// planner's ranking and the check layer's fuzz brackets both refer to
+// these definitions.
 #pragma once
 
 #include <functional>
@@ -33,13 +37,30 @@
 
 namespace dapple::sim {
 
+/// The analytic latency (planner::LatencyEstimator) may exceed the
+/// simulated makespan by at most 10% on single-stage (pure DP) plans, where
+/// the estimator ignores only launch overheads and bubbles.
+inline constexpr double kAnalyticOverSimTolerance = 1.10;
+/// Multi-stage plans add cross-stage transfers. The estimator matches the
+/// simulator's duplex channels (steady comm rounds gated by max(F, B), not
+/// F + B), so the remaining analytic pessimism comes from formula-1
+/// conservatism on overlap and pivot interactions. Calibrated on a
+/// 100k-seed sweep after the duplex fix: worst observed ratio 1.049
+/// (seed 3410). This is the factor the adaptive cut derives from: a
+/// candidate is skipped when its score exceeds it x (best simulated
+/// makespan).
+inline constexpr double kAnalyticOverSimCommTolerance = 1.30;
+/// The simulated makespan may exceed the analytic latency by at most this
+/// factor (bubbles, transfers serialized on channels, the weight update).
+/// Worst observed on the same 100k-seed sweep: 1.616.
+inline constexpr double kSimOverAnalyticTolerance = 2.0;
+/// The static worst-case keep band: the adaptive cut's keep-set is always
+/// within this multiple of the minimum analytic score, and so is the true
+/// sim-best candidate.
+inline constexpr double kPrefilterBand =
+    kAnalyticOverSimCommTolerance * kSimOverAnalyticTolerance;
+
 struct PrefilterOptions {
-  /// The analytic-over-sim bracket factor the cut derives from: a candidate
-  /// is skipped when its score exceeds `analytic_over_sim` x (best simulated
-  /// makespan). Must be an upper bound on score/sim for every candidate or
-  /// the recall guarantee is void. Default mirrors
-  /// check::kAnalyticOverSimCommTolerance.
-  double analytic_over_sim = 1.30;
   /// Phase-1 simulations: the `probe` best-scored candidates anchor the
   /// cut. 1 suffices for the guarantee; a few more tighten the anchor and
   /// give the batch runner parallel work.
@@ -47,7 +68,8 @@ struct PrefilterOptions {
   /// False disables selection: every finite-scored candidate is simulated
   /// (the --prefilter=off baseline, and the oracle leg of recall tests).
   bool enabled = true;
-  /// BatchRunner worker threads for the simulations (1 = inline).
+  /// BatchRunner worker threads for the simulations, and for the scoring
+  /// pass of planner::RankCandidates (1 = inline).
   int threads = 1;
 };
 

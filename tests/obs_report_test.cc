@@ -147,7 +147,8 @@ TEST(IterationReport, Fig3JsonIsDeterministic) {
 TEST(IterationReport, PeakVsMCurveIsFlatForDapple) {
   const Fig3 fig;
   const auto curve =
-      obs::PeakVsMCurve(fig.model, fig.cluster, fig.plan, fig.options, {4, 8, 16});
+      obs::PeakVsMCurve(fig.model, fig.cluster, fig.plan, fig.options, {4, 8, 16},
+                        obs::PeakVsMOptions{});
   ASSERT_EQ(curve.size(), 3u);
   EXPECT_EQ(curve[0].num_micro_batches, 4);
   EXPECT_EQ(curve[2].num_micro_batches, 16);
@@ -161,7 +162,8 @@ TEST(IterationReport, PeakVsMCurveGrowsForGPipe) {
   fig.options.schedule.kind = runtime::ScheduleKind::kGPipe;
   fig.options.enforce_memory_capacity = false;
   const auto curve =
-      obs::PeakVsMCurve(fig.model, fig.cluster, fig.plan, fig.options, {4, 16});
+      obs::PeakVsMCurve(fig.model, fig.cluster, fig.plan, fig.options, {4, 16},
+                        obs::PeakVsMOptions{});
   ASSERT_EQ(curve.size(), 2u);
   EXPECT_LT(curve[0].max_peak_memory, curve[1].max_peak_memory);
 }
@@ -174,7 +176,8 @@ TEST(IterationReport, PeakVsMPrefilterNeverChangesTheCurve) {
   const Fig3 dapple_fig;
   const std::vector<int> counts = {4, 8, 16, 32};
   const auto full = obs::PeakVsMCurve(dapple_fig.model, dapple_fig.cluster,
-                                      dapple_fig.plan, dapple_fig.options, counts);
+                                      dapple_fig.plan, dapple_fig.options, counts,
+                                      obs::PeakVsMOptions{});
 
   const std::int64_t skipped0 =
       metrics.counter("prefilter.peak_vs_m.skipped").value();
@@ -197,7 +200,8 @@ TEST(IterationReport, PeakVsMPrefilterNeverChangesTheCurve) {
   const std::int64_t gp_skipped0 =
       metrics.counter("prefilter.peak_vs_m.skipped").value();
   const auto gp_full = obs::PeakVsMCurve(gpipe_fig.model, gpipe_fig.cluster,
-                                         gpipe_fig.plan, gpipe_fig.options, {4, 8, 16});
+                                         gpipe_fig.plan, gpipe_fig.options, {4, 8, 16},
+                                         obs::PeakVsMOptions{});
   const auto gp_pre = obs::PeakVsMCurve(
       gpipe_fig.model, gpipe_fig.cluster, gpipe_fig.plan, gpipe_fig.options,
       {4, 8, 16}, obs::PeakVsMOptions{.prefilter = true});

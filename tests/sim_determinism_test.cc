@@ -1,8 +1,6 @@
-// Determinism sweep for the simulation engines and the batch driver:
-// across a seeded set of fuzz-generated pipelines, the reference engine
-// (legacy ordered-set/priority-queue containers), the indexed binary-heap
-// arena Engine, the structure-of-arrays SoaEngine (both its thread-local
-// flatten-and-run path and a reused explicit SoaGraph arena), and
+// Determinism sweep for the simulation engine and the batch driver: across
+// a seeded set of fuzz-generated pipelines, the production Engine and the
+// reference oracle (legacy ordered-set/priority-queue containers), and
 // BatchRunner at every thread count must produce byte-identical chrome
 // traces, iteration reports, and memory high-water marks. The engines are
 // deterministic by construction — explicit (priority, id) dispatch and
@@ -22,7 +20,6 @@
 #include "sim/batch.h"
 #include "sim/chrome_trace.h"
 #include "sim/engine.h"
-#include "sim/soa.h"
 
 namespace dapple::sim {
 namespace {
@@ -66,13 +63,13 @@ int SweepInstances() {
   return 200;
 }
 
-TEST(SimDeterminismTest, AllThreeEnginesAreByteIdentical) {
+TEST(SimDeterminismTest, EngineIsByteIdenticalToReference) {
   const int instances = SweepInstances();
   int multi_pool = 0;
   long tasks = 0;
-  // One SoaEngine reused across the sweep, so the arena-reuse path (stale
-  // capacity from a previous, differently-shaped graph) is exercised too.
-  SoaEngine soa_engine;
+  // Engine::Run reuses one thread-local arena across the sweep, so every
+  // run after the first also exercises stale capacity from a previous,
+  // differently-shaped graph.
   for (std::uint64_t seed = 0; seed < static_cast<std::uint64_t>(instances); ++seed) {
     const check::FuzzCase c = check::MakeFuzzCase(seed);
     const runtime::BuiltPipeline built =
@@ -80,25 +77,11 @@ TEST(SimDeterminismTest, AllThreeEnginesAreByteIdentical) {
 
     const SimFingerprint reference =
         Fingerprint(built, RunReferenceEngine(built.graph, built.engine_options));
-    const SimFingerprint arena =
+    const SimFingerprint engine =
         Fingerprint(built, Engine::Run(built.graph, built.engine_options));
-    ASSERT_EQ(reference, arena)
-        << "arena engine diverged from the reference containers: seed=" << seed
-        << " " << c.Describe();
-
-    const SimFingerprint soa =
-        Fingerprint(built, SoaEngine::Run(built.graph, built.engine_options));
-    ASSERT_EQ(reference, soa)
-        << "SoA engine diverged from the reference containers: seed=" << seed
-        << " " << c.Describe();
-
-    // The explicit-flatten path must agree with the flatten-and-run path.
-    const SoaGraph flat(built.graph);
-    const SimFingerprint soa_prebuilt =
-        Fingerprint(built, soa_engine.Simulate(flat, built.engine_options));
-    ASSERT_EQ(reference, soa_prebuilt)
-        << "SoA engine with a pre-built SoaGraph diverged: seed=" << seed
-        << " " << c.Describe();
+    ASSERT_EQ(reference, engine)
+        << "Engine diverged from the reference containers: seed=" << seed << " "
+        << c.Describe();
 
     tasks += built.graph.num_tasks();
     if (reference.pool_peaks.size() > 1) ++multi_pool;

@@ -136,10 +136,10 @@ TEST(Engine, SimultaneousEqualPriorityCompletionsDrainById) {
   EXPECT_DOUBLE_EQ(ref.records[y2].start, 2.0);
 }
 
-// The arena is reused across Simulate() calls on one Engine instance;
-// back-to-back runs of different shapes must not leak state between runs.
+// Engine::Run reuses one thread-local arena (flatten buffers, heaps,
+// counters) across calls; back-to-back runs of different shapes on one
+// thread must not leak state between runs.
 TEST(Engine, ArenaReuseAcrossShapes) {
-  Engine engine;
   TaskGraph small;
   small.AddTask(MakeTask("s", 0, 1.0));
   TaskGraph big;
@@ -148,15 +148,23 @@ TEST(Engine, ArenaReuseAcrossShapes) {
   }
   for (int i = 0; i + 7 < 40; i += 2) big.AddEdge(i, i + 7);
 
-  const SimResult big_first = engine.Simulate(big);
-  const SimResult small_between = engine.Simulate(small);
-  const SimResult big_again = engine.Simulate(big);
+  const SimResult big_first = Engine::Run(big);
+  const SimResult small_between = Engine::Run(small);
+  const SimResult big_again = Engine::Run(big);
   EXPECT_DOUBLE_EQ(small_between.makespan, 1.0);
+  ASSERT_EQ(small_between.records.size(), 1u);
+  EXPECT_EQ(small_between.resources[0].tasks_executed, 1);
   ASSERT_EQ(big_first.records.size(), big_again.records.size());
+  // The shrunken run in between must not have left the arena in a state
+  // that differs from a fresh one: both big runs equal the oracle exactly.
+  const SimResult oracle = RunReferenceEngine(big);
   for (std::size_t i = 0; i < big_first.records.size(); ++i) {
-    EXPECT_DOUBLE_EQ(big_first.records[i].start, big_again.records[i].start);
-    EXPECT_DOUBLE_EQ(big_first.records[i].end, big_again.records[i].end);
+    EXPECT_EQ(big_first.records[i].start, oracle.records[i].start);
+    EXPECT_EQ(big_first.records[i].end, oracle.records[i].end);
+    EXPECT_EQ(big_again.records[i].start, oracle.records[i].start);
+    EXPECT_EQ(big_again.records[i].end, oracle.records[i].end);
   }
+  EXPECT_EQ(big_again.makespan, oracle.makespan);
 }
 
 TEST(Engine, DeadlockDetected) {

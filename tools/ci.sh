@@ -12,14 +12,15 @@
 #                    randomized sweeps and the `-L golden` byte-stability
 #                    tests (pushes to main)
 #   perf-smoke     — `ctest -L perf-smoke`: the planner, simulator and
-#                    scenario determinism sweeps (reference vs arena vs
-#                    SoA engines vs the batched driver, and churn-episode /
-#                    co-schedule reports at every thread count — all
-#                    byte-identical), the --quick planner-scaling,
-#                    sim-engine, serve and scenario benches (the
-#                    sim-engine bench also fences the SoA engine against
-#                    regressing below the arena engine and the analytic
-#                    pre-filter against dropping the sim-best candidate;
+#                    scenario determinism sweeps (the engine vs the
+#                    reference oracle vs the batched driver, and
+#                    churn-episode / co-schedule reports at every thread
+#                    count — all byte-identical), the --quick
+#                    planner-scaling, sim-engine, serve and scenario
+#                    benches (the sim-engine bench also fences the engine
+#                    against falling below its measured floor over the
+#                    reference oracle and the analytic pre-filter against
+#                    dropping the sim-best candidate;
 #                    the scenario bench fences elastic-up against losing
 #                    to sync-stall on churn and the co-scheduler against
 #                    the naive even split), the serve daemon smoke
