@@ -65,9 +65,9 @@ struct RegionTiming {
 };
 
 /// Times `trials` rounds of regions, one region per pass in `passes`. One
-/// untimed warmup of each pass first fills thread-local arenas and
-/// allocator caches; each region then repeats its pass until at least
-/// `min_region_s` seconds have elapsed, long enough that timer resolution
+/// untimed warmup of each pass first fills allocator caches; each region
+/// then repeats its pass until at least `min_region_s` seconds have
+/// elapsed, long enough that timer resolution
 /// and a short scheduler hiccup cannot decide a comparison.
 /// Each round times the passes back to back, so a slow phase of the host
 /// lands on every row of a comparison alike. Ratio gates use `best`, the

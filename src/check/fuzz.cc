@@ -12,6 +12,7 @@
 #include "planner/dp_planner.h"
 #include "planner/latency.h"
 #include "planner/prefilter.h"
+#include "runtime/plan_pipeline.h"
 #include "sim/batch.h"
 #include "sim/engine.h"
 #include "topo/device_set.h"
@@ -282,12 +283,7 @@ MemoryCapFuzzOutcome RunMemoryCapFuzzCase(const MemoryCapFuzzCase& c) {
                             FormatBytes(c.memory_cap)});
   }
 
-  runtime::BuildOptions bo;
-  bo.global_batch_size = c.global_batch_size;
-  bo.schedule.kind = c.kind;
-  bo.schedule.recompute = c.recompute == planner::RecomputePolicy::kAll;
-  bo.memory_cap = c.memory_cap;
-  bo.enforce_memory_capacity = true;
+  const runtime::BuildOptions bo = runtime::RunOptionsFor(po);
   try {
     runtime::GraphBuilder builder(c.model, c.cluster, planned.plan, bo);
     const runtime::BuiltPipeline built = builder.Build();

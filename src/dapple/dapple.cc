@@ -1,11 +1,6 @@
 #include "dapple/dapple.h"
 
-#include <cmath>
-#include <vector>
-#include <limits>
-
-#include "common/error.h"
-#include "common/thread_pool.h"
+#include <utility>
 
 namespace dapple {
 
@@ -20,113 +15,7 @@ model::ProfileReport Session::Profile() const {
 planner::PlanResult Session::Plan(long global_batch_size,
                                   planner::PlannerOptions options) const {
   options.global_batch_size = global_batch_size;
-  planner::PlanResult result;
-  try {
-    planner::DapplePlanner planner(model_, cluster_, options);
-    result = planner.Plan();
-  } catch (const Error&) {
-    // Nothing fits without re-computation: retry in the paper's
-    // Table VIII operating mode (checkpoint + replay), which divides the
-    // activation footprint by roughly the stage depth. Under the kAuto
-    // policy the planner already ran this fallback itself (per stage);
-    // kAll already recomputed everywhere — rethrow for both.
-    if (options.latency.recompute ||
-        options.recompute != planner::RecomputePolicy::kOff) {
-      throw;
-    }
-    options.latency.recompute = true;
-    planner::DapplePlanner planner(model_, cluster_, options);
-    result = planner.Plan();
-    // The retry's recompute decision must ride the plan itself: a later
-    // build of this plan (dapple run/report, LoadPlan) would otherwise
-    // stash full activations and OOM at the very cap the retry satisfied.
-    for (planner::StagePlan& stage : result.plan.stages) stage.recompute = true;
-    for (auto& alternative : result.alternatives) {
-      for (planner::StagePlan& stage : alternative.first.stages) {
-        stage.recompute = true;
-      }
-    }
-    result.stats.recompute_stages = static_cast<int>(result.plan.stages.size());
-  }
-
-  auto simulate = [&](const planner::ParallelPlan& plan) -> TimeSec {
-    runtime::BuildOptions run_options;
-    run_options.global_batch_size = global_batch_size;
-    run_options.schedule.recompute =
-        options.latency.recompute ||
-        options.recompute == planner::RecomputePolicy::kAll;
-    run_options.schedule.recompute_overhead = options.latency.recompute_overhead;
-    run_options.overlap_allreduce = options.latency.overlap_allreduce;
-    // Same cap in the simulator pools as in the planner's feasibility
-    // check, so an analytic misfit shows up as OOM (-> infinite latency)
-    // during re-ranking instead of silently passing. Per-stage recompute
-    // flags ride the plan itself.
-    run_options.memory_cap =
-        options.memory_cap > 0 ? options.memory_cap : options.latency.memory_cap;
-    runtime::PipelineExecutor executor(model_, cluster_, plan, run_options);
-    const runtime::IterationReport report = executor.Run();
-    return report.oom ? std::numeric_limits<TimeSec>::infinity()
-                      : report.pipeline_latency;
-  };
-
-  // Re-rank the analytic top-k with the discrete-event simulator: the
-  // formula-1 objective ignores internal bubbles and can misorder plans
-  // that are within a few percent of each other; one simulated iteration
-  // per candidate settles those ties exactly.
-  TimeSec best_simulated = std::numeric_limits<TimeSec>::infinity();
-  if (result.alternatives.size() > 1) {
-    // Candidate simulations are independent; evaluate them across the
-    // shared pool and select deterministically afterwards.
-    std::vector<TimeSec> simulated(result.alternatives.size());
-    ThreadPool::Shared().ParallelFor(result.alternatives.size(), [&](std::size_t i) {
-      simulated[i] = simulate(result.alternatives[i].first);
-    });
-    std::size_t best_index = 0;
-    for (std::size_t i = 0; i < simulated.size(); ++i) {
-      if (simulated[i] < best_simulated) {
-        best_simulated = simulated[i];
-        best_index = i;
-      }
-    }
-    result.plan = result.alternatives[best_index].first;
-    result.estimate = result.alternatives[best_index].second;
-  } else {
-    best_simulated = simulate(result.plan);
-  }
-
-  // Simulation-guided local refinement of the split positions: the DP
-  // search memoizes on (boundary, allocation), which collapses
-  // near-identical splits, so the exact optimum boundary (e.g. GNMT's 9:7
-  // vs 10:6) may be a one-layer shift away from the analytic winner.
-  if (result.plan.num_stages() > 1 && std::isfinite(best_simulated)) {
-    bool improved = true;
-    int rounds = 0;
-    while (improved && rounds++ < 8) {
-      improved = false;
-      for (std::size_t b = 0; b + 1 < result.plan.stages.size(); ++b) {
-        for (int delta : {-1, +1}) {
-          planner::ParallelPlan candidate = result.plan;
-          planner::StagePlan& lhs = candidate.stages[b];
-          planner::StagePlan& rhs = candidate.stages[b + 1];
-          const int boundary = lhs.layer_end + delta;
-          if (boundary <= lhs.layer_begin || boundary >= rhs.layer_end) continue;
-          lhs.layer_end = boundary;
-          rhs.layer_begin = boundary;
-          const TimeSec simulated = simulate(candidate);
-          if (simulated < best_simulated) {
-            best_simulated = simulated;
-            planner::DapplePlanner refined_eval(model_, cluster_, options);
-            result.estimate = refined_eval.Evaluate(candidate);
-            result.plan = std::move(candidate);
-            improved = true;
-            break;
-          }
-        }
-        if (improved) break;
-      }
-    }
-  }
-  return result;
+  return runtime::PlanPipeline(model_, cluster_, options, runtime::RunOptionsFor(options));
 }
 
 runtime::IterationReport Session::Run(const planner::ParallelPlan& plan,

@@ -11,7 +11,8 @@
 // The Session wires the three paper components together: the profiler
 // (model statistics), the planner (partition/replication/placement DP) and
 // the runtime (early-backward-scheduled pipelined execution on the
-// simulator).
+// simulator). Session::Plan is runtime::PlanPipeline, the planning pipeline
+// every caller shares, under runtime::RunOptionsFor.
 #pragma once
 
 #include "check/fuzz.h"
@@ -35,6 +36,7 @@
 #include "planner/plan_io.h"
 #include "runtime/executor.h"
 #include "runtime/graph_builder.h"
+#include "runtime/plan_pipeline.h"
 #include "runtime/schedule.h"
 #include "sim/engine.h"
 #include "sim/trace.h"
@@ -55,7 +57,7 @@ class Session {
   /// Table II style summary of the model on this cluster's device.
   model::ProfileReport Profile() const;
 
-  /// Runs the DAPPLE planner at a global batch size. If no plan fits
+  /// Runs runtime::PlanPipeline at a global batch size. If no plan fits
   /// device memory without re-computation, retries with re-computation
   /// enabled (the paper's Table VIII operating mode); the chosen latency
   /// options are reflected in the result's estimate.

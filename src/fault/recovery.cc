@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <utility>
 
 #include "common/error.h"
 #include "obs/metrics.h"
+#include "runtime/plan_pipeline.h"
 #include "sim/batch.h"
 #include "sim/engine.h"
 
@@ -15,14 +17,23 @@ namespace {
 
 constexpr TimeSec kInf = std::numeric_limits<TimeSec>::infinity();
 
-/// Runs the (parallel, memoized) planner for an online elastic replan and
-/// books its search stats under fault.replan.* — replans happen on the
-/// recovery critical path, so their wall time and cache behaviour are the
-/// numbers an operator actually cares about.
-planner::ParallelPlan ReplanOnline(const model::ModelProfile& model,
-                                   const topo::Cluster& degraded,
-                                   const planner::PlannerOptions& options) {
-  planner::PlanResult result = planner::DapplePlanner(model, degraded, options).Plan();
+/// The plan an elastic policy continues with: the planning pipeline's (as
+/// `dapple plan` chooses, simulated under the job's build), else the running
+/// plan remapped (growing onto returned devices when `grow`), else nullopt.
+/// Replans book fault.replan.* stats: they sit on the recovery critical path.
+std::optional<planner::ParallelPlan> ReplanOnline(const model::ModelProfile& model,
+                                                  const DegradedCluster& degraded,
+                                                  const FaultOptions& options,
+                                                  const planner::ParallelPlan& running,
+                                                  bool grow) {
+  planner::PlannerOptions planner = options.planner;
+  if (planner.global_batch_size == 0) planner.global_batch_size = options.build.global_batch_size;
+  planner::PlanResult result;
+  try {
+    result = runtime::PlanPipeline(model, degraded.cluster, planner, options.build);
+  } catch (const Error&) {
+    return RemapPlanToCluster(running, degraded, grow);
+  }
   auto& metrics = obs::MetricsRegistry::Global();
   metrics.counter("fault.replan.runs").Increment();
   metrics.counter("fault.replan.subproblems").Increment(result.stats.subproblems);
@@ -167,10 +178,6 @@ FaultReport RunFaultExperiment(const model::ModelProfile& model, const topo::Clu
   report.horizon = horizon;
 
   const TimeSec onset = script.empty() ? 0.0 : script.FirstOnset();
-  planner::PlannerOptions planner_options = options.planner;
-  if (planner_options.global_batch_size == 0) {
-    planner_options.global_batch_size = options.build.global_batch_size;
-  }
 
   TimeSec t = 0.0;
   int iterations = 0;
@@ -201,16 +208,10 @@ FaultReport RunFaultExperiment(const model::ModelProfile& model, const topo::Clu
         // enabled in the remap fallback, so the new hardware is never
         // silently wasted).
         const bool grew = degraded.cluster.num_devices() > config.cluster.num_devices();
-        planner::ParallelPlan next_plan;
-        try {
-          next_plan = ReplanOnline(model, degraded.cluster, planner_options);
-        } catch (const Error&) {
-          const auto remapped = RemapPlanToCluster(config.plan, degraded, grew);
-          if (!remapped) {
-            halt(t, "planner found no feasible plan on the degraded cluster");
-            break;
-          }
-          next_plan = *remapped;
+        auto next_plan = ReplanOnline(model, degraded, options, config.plan, grew);
+        if (!next_plan) {
+          halt(t, "planner found no feasible plan on the degraded cluster");
+          break;
         }
         if (grew && policy == RecoveryPolicy::kElasticUp) {
           // Checkpoint-bounded cutover: new devices need a state snapshot,
@@ -228,8 +229,8 @@ FaultReport RunFaultExperiment(const model::ModelProfile& model, const topo::Clu
               {"scale-up", t, done, -1,
                "rolled back to iteration " + std::to_string(last_checkpoint_iter) +
                    ", replanned onto " + degraded.cluster.name() + " as " +
-                   next_plan.ToString()});
-          config = build_config(std::move(next_plan), degraded.cluster,
+                   next_plan->ToString()});
+          config = build_config(std::move(*next_plan), degraded.cluster,
                                 degraded.to_original_device, now);
           t = done;
           continue;
@@ -237,9 +238,9 @@ FaultReport RunFaultExperiment(const model::ModelProfile& model, const topo::Clu
         const TimeSec done = t + options.replan_cost;
         report.timeline.push_back(
             {"replan", t, done, -1, "replanned onto " + degraded.cluster.name() + " as " +
-                                        next_plan.ToString()});
+                                        next_plan->ToString()});
         ++report.replans;
-        config = build_config(std::move(next_plan), degraded.cluster,
+        config = build_config(std::move(*next_plan), degraded.cluster,
                               degraded.to_original_device, now);
         t = done;
         continue;  // state may have shifted again while replanning
@@ -327,25 +328,18 @@ FaultReport RunFaultExperiment(const model::ModelProfile& model, const topo::Clu
           halt(crash_time, "no surviving server to replan onto");
           break;
         }
-        planner::ParallelPlan next_plan;
-        try {
-          next_plan = ReplanOnline(model, degraded.cluster, planner_options);
-        } catch (const Error&) {
-          const auto remapped = RemapPlanToCluster(
-              config.plan, degraded,
-              policy == RecoveryPolicy::kElasticUp &&
-                  degraded.cluster.num_devices() > config.cluster.num_devices());
-          if (!remapped) {
-            halt(crash_time, "planner found no feasible plan on the degraded cluster");
-            break;
-          }
-          next_plan = *remapped;
+        const bool grow = policy == RecoveryPolicy::kElasticUp &&
+                          degraded.cluster.num_devices() > config.cluster.num_devices();
+        auto next_plan = ReplanOnline(model, degraded, options, config.plan, grow);
+        if (!next_plan) {
+          halt(crash_time, "planner found no feasible plan on the degraded cluster");
+          break;
         }
         report.timeline.push_back({"replan", crash_time, resumed, -1,
                                    "replanned onto " + degraded.cluster.name() + " as " +
-                                       next_plan.ToString()});
+                                       next_plan->ToString()});
         ++report.replans;
-        config = build_config(std::move(next_plan), degraded.cluster,
+        config = build_config(std::move(*next_plan), degraded.cluster,
                               degraded.to_original_device, now);
         t = resumed;
         break;

@@ -47,8 +47,8 @@ struct PlannerOptions {
   /// this factor. 0 disables pruning.
   double prune_slack = 2.0;
   /// Number of best distinct candidates to keep for downstream re-ranking
-  /// (the Session verifies the analytic top-k against the discrete-event
-  /// simulator, whose schedule is exact where formula 1 approximates).
+  /// (runtime::PlanPipeline checks the analytic top-k with the discrete-
+  /// event simulator, whose schedule is exact where formula 1 approximates).
   int keep_alternatives = 8;
   /// Ablation hook: restrict the device-placement search to a subset of
   /// the three policies. Empty = all (the paper's full search space).
@@ -92,6 +92,9 @@ struct PlanResult {
   std::vector<std::pair<ParallelPlan, PlanEstimate>> alternatives;
   /// How the search ran: decomposition, cache traffic, wall time.
   PlannerSearchStats stats;
+  /// Simulated makespan of `plan` under the build options it runs with
+  /// (+inf when it OOMs); set by runtime::PlanPipeline, 0 from Plan() alone.
+  TimeSec simulated_latency = 0.0;
 };
 
 class DapplePlanner {

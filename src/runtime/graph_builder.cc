@@ -181,6 +181,14 @@ BuiltPipeline GraphBuilder::Build() const {
   const ResourceLayout layout = built.layout();
 
   sim::TaskGraph& graph = built.graph;
+  // An upper bound on the tasks below: per micro-batch, FW/BW(/BWW) per
+  // replica and two transfers; per stage, an AllReduce and the APPLYs.
+  int max_tasks = 0;
+  for (const StageInfo& si : info) {
+    const int r = si.exec->replication();
+    max_tasks += m_total * ((split_bw ? 3 : 2) * r + 2) + r + 1;
+  }
+  graph.Reserve(max_tasks);
 
   // fw_tasks[i][m] / bw_tasks[i][m] / bww_tasks[i][m]: per-replica task ids
   // (one entry in round-robin mode). Under 2BP, bw_tasks holds the
@@ -212,51 +220,30 @@ BuiltPipeline GraphBuilder::Build() const {
       for (int rep : replicas_for(i, m)) {
         const topo::DeviceId dev = si.exec->devices[rep];
         const double dev_speed = cluster_->device_speed(dev);
-        sim::Task fw;
-        fw.name = "FW s" + std::to_string(i) + " m" + std::to_string(m) + " G" +
-                  std::to_string(dev);
-        fw.kind = sim::TaskKind::kForward;
-        fw.resource = dev;
-        fw.duration = si.forward / dev_speed;
-        fw.pool = dev;
-        fw.alloc_at_start = si.fw_alloc;
-        fw.stage = i;
-        fw.microbatch = m;
-        fw.device = dev;
-        fw_tasks[static_cast<std::size_t>(i)][static_cast<std::size_t>(m)].push_back(
-            graph.AddTask(std::move(fw)));
-
-        sim::Task bw;
-        bw.name = (split_bw ? "BI s" : "BW s") + std::to_string(i) + " m" +
-                  std::to_string(m) + " G" + std::to_string(dev);
-        bw.kind = sim::TaskKind::kBackward;
-        bw.resource = dev;
-        bw.duration = (split_bw ? si.bw_input : si.backward) / dev_speed;
-        bw.pool = dev;
-        bw.alloc_at_start = si.bw_alloc;
+        auto add = [&](auto& tasks, sim::TaskKind task_kind, const char* prefix,
+                       TimeSec work, Bytes alloc, Bytes free) {
+          sim::Task task;
+          task.name = prefix + std::to_string(i) + " m" + std::to_string(m) + " G" +
+                      std::to_string(dev);
+          task.kind = task_kind;
+          task.resource = dev;
+          task.duration = work / dev_speed;
+          task.pool = dev;
+          task.alloc_at_start = alloc;
+          task.free_at_end = free;
+          task.stage = i;
+          task.microbatch = m;
+          task.device = dev;
+          tasks[static_cast<std::size_t>(i)][static_cast<std::size_t>(m)].push_back(
+              graph.AddTask(std::move(task)));
+        };
+        add(fw_tasks, sim::TaskKind::kForward, "FW s", si.forward, si.fw_alloc, 0);
         // 2BP: the stash (and the replay working set) stays live until the
         // weight half has consumed the activations; BWW frees it all.
-        bw.free_at_end = split_bw ? Bytes{0} : si.bw_free;
-        bw.stage = i;
-        bw.microbatch = m;
-        bw.device = dev;
-        bw_tasks[static_cast<std::size_t>(i)][static_cast<std::size_t>(m)].push_back(
-            graph.AddTask(std::move(bw)));
-
+        add(bw_tasks, sim::TaskKind::kBackward, split_bw ? "BI s" : "BW s",
+            split_bw ? si.bw_input : si.backward, si.bw_alloc, split_bw ? 0 : si.bw_free);
         if (split_bw) {
-          sim::Task bww;
-          bww.name = "BWW s" + std::to_string(i) + " m" + std::to_string(m) + " G" +
-                     std::to_string(dev);
-          bww.kind = sim::TaskKind::kBackwardWeight;
-          bww.resource = dev;
-          bww.duration = si.bw_weight / dev_speed;
-          bww.pool = dev;
-          bww.free_at_end = si.bw_free;
-          bww.stage = i;
-          bww.microbatch = m;
-          bww.device = dev;
-          bww_tasks[static_cast<std::size_t>(i)][static_cast<std::size_t>(m)].push_back(
-              graph.AddTask(std::move(bww)));
+          add(bww_tasks, sim::TaskKind::kBackwardWeight, "BWW s", si.bw_weight, 0, si.bw_free);
         }
       }
     }
@@ -283,54 +270,38 @@ BuiltPipeline GraphBuilder::Build() const {
 
     const StageInfo& sn = info[static_cast<std::size_t>(i + 1)];
     const Bytes act = model_->ActivationAt(si.plan->layer_end, static_cast<double>(mbs));
-    for (int m = 0; m < m_total; ++m) {
-      const auto& src = fw_tasks[static_cast<std::size_t>(i)][static_cast<std::size_t>(m)];
-      const auto& dst = fw_tasks[static_cast<std::size_t>(i + 1)][static_cast<std::size_t>(m)];
-      TimeSec tx_time;
-      if (options_.replication == ReplicationMode::kSplitMicroBatch) {
-        // Co-located device sets (a V group's two chunks, or the V bottom)
-        // degrade to a local memcpy inside CrossStage.
-        tx_time = cost.CrossStage(si.exec->devices, sn.exec->devices, act);
-      } else {
+    // Co-located device sets (a V group's two chunks, or the V bottom)
+    // degrade to a local memcpy inside CrossStage. Split mode moves the same
+    // slices every micro-batch.
+    const TimeSec split_fw_tx = cost.CrossStage(si.exec->devices, sn.exec->devices, act);
+    const TimeSec split_bw_tx = cost.CrossStage(sn.exec->devices, si.exec->devices, act);
+    // One transfer per direction and micro-batch: every `src` replica feeds
+    // it and it feeds every `dst` replica.
+    auto add_transfer = [&](const char* direction, int from, int to, int m,
+                            sim::ResourceId channel, TimeSec split_time, const auto& tasks) {
+      const auto& src = tasks[static_cast<std::size_t>(from)][static_cast<std::size_t>(m)];
+      const auto& dst = tasks[static_cast<std::size_t>(to)][static_cast<std::size_t>(m)];
+      sim::Task tx;
+      tx.duration = split_time;
+      if (options_.replication != ReplicationMode::kSplitMicroBatch) {
         const topo::DeviceId a = graph.task(src.front()).device;
         const topo::DeviceId b = graph.task(dst.front()).device;
-        tx_time = a == b ? 0.0 : cost.P2P(a, b, act);
+        tx.duration = a == b ? 0.0 : cost.P2P(a, b, act);
       }
-      sim::Task txf;
-      txf.name = "TXf " + std::to_string(i) + "->" + std::to_string(i + 1) + " m" +
-                 std::to_string(m);
-      txf.kind = sim::TaskKind::kTransfer;
-      txf.resource = layout.ForwardChannel(i);
-      txf.duration = tx_time;
-      txf.stage = i;
-      txf.microbatch = m;
-      txf.bytes = act;
-      const sim::TaskId txf_id = graph.AddTask(std::move(txf));
-      for (sim::TaskId t : src) graph.AddEdge(t, txf_id);
-      for (sim::TaskId t : dst) graph.AddEdge(txf_id, t);
-
-      const auto& bsrc = bw_tasks[static_cast<std::size_t>(i + 1)][static_cast<std::size_t>(m)];
-      const auto& bdst = bw_tasks[static_cast<std::size_t>(i)][static_cast<std::size_t>(m)];
-      TimeSec btx_time;
-      if (options_.replication == ReplicationMode::kSplitMicroBatch) {
-        btx_time = cost.CrossStage(sn.exec->devices, si.exec->devices, act);
-      } else {
-        const topo::DeviceId a = graph.task(bsrc.front()).device;
-        const topo::DeviceId b = graph.task(bdst.front()).device;
-        btx_time = a == b ? 0.0 : cost.P2P(a, b, act);
-      }
-      sim::Task txb;
-      txb.name = "TXb " + std::to_string(i + 1) + "->" + std::to_string(i) + " m" +
-                 std::to_string(m);
-      txb.kind = sim::TaskKind::kTransfer;
-      txb.resource = layout.BackwardChannel(i);
-      txb.duration = btx_time;
-      txb.stage = i;
-      txb.microbatch = m;
-      txb.bytes = act;
-      const sim::TaskId txb_id = graph.AddTask(std::move(txb));
-      for (sim::TaskId t : bsrc) graph.AddEdge(t, txb_id);
-      for (sim::TaskId t : bdst) graph.AddEdge(txb_id, t);
+      tx.name = direction + std::to_string(from) + "->" + std::to_string(to) + " m" +
+                std::to_string(m);
+      tx.kind = sim::TaskKind::kTransfer;
+      tx.resource = channel;
+      tx.stage = i;
+      tx.microbatch = m;
+      tx.bytes = act;
+      const sim::TaskId id = graph.AddTask(std::move(tx));
+      for (sim::TaskId t : src) graph.AddEdge(t, id);
+      for (sim::TaskId t : dst) graph.AddEdge(id, t);
+    };
+    for (int m = 0; m < m_total; ++m) {
+      add_transfer("TXf ", i, i + 1, m, layout.ForwardChannel(i), split_fw_tx, fw_tasks);
+      add_transfer("TXb ", i + 1, i, m, layout.BackwardChannel(i), split_bw_tx, bw_tasks);
     }
   }
 

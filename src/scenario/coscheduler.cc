@@ -9,9 +9,9 @@
 
 #include "common/error.h"
 #include "obs/metrics.h"
+#include "runtime/plan_pipeline.h"
 #include "serve/fingerprint.h"
 #include "sim/batch.h"
-#include "sim/engine.h"
 
 namespace dapple::scenario {
 
@@ -21,10 +21,10 @@ constexpr TimeSec kInf = std::numeric_limits<TimeSec>::infinity();
 
 }  // namespace
 
-/// One evaluated (job, slice width) point: the plan the DAPPLE planner
+/// One evaluated (job, slice width) point: the plan the planning pipeline
 /// chose on that many servers and its simulated iteration time. infeasible
-/// (planner threw) keeps iteration_time at +inf so it loses every
-/// comparison without special-casing.
+/// (planner threw, or the winner OOMs) keeps iteration_time at +inf so it
+/// loses every comparison without special-casing.
 struct CoScheduler::Cell {
   planner::ParallelPlan plan;
   TimeSec iteration_time = kInf;
@@ -104,22 +104,19 @@ class CoScheduler::Evaluator {
 
   Cell Compute(int job, int width) const {
     const JobSpec& spec = jobs_[static_cast<std::size_t>(job)];
-    const topo::Cluster slice = Slice(width);
     Cell cell;
     planner::PlannerOptions po = options_.planner;
     po.global_batch_size = spec.global_batch_size;
     try {
-      cell.plan = planner::DapplePlanner(spec.model, slice, po).Plan().plan;
+      planner::PlanResult planned =
+          runtime::PlanPipeline(spec.model, Slice(width), po, options_.build);
+      cell.plan = std::move(planned.plan);
+      cell.iteration_time = planned.simulated_latency;
     } catch (const Error&) {
       return cell;  // infeasible on this slice; +inf loses every comparison
     }
-    runtime::BuildOptions build = options_.build;
-    build.global_batch_size = spec.global_batch_size;
-    const runtime::BuiltPipeline built =
-        runtime::GraphBuilder(spec.model, slice, cell.plan, build).Build();
-    const sim::SimResult result = sim::Engine::Run(built.graph, built.engine_options);
-    cell.iteration_time = result.makespan;
-    cell.feasible = true;
+    // A winner that OOMs in simulation (+inf) is as unusable as no plan.
+    cell.feasible = std::isfinite(cell.iteration_time);
     return cell;
   }
 

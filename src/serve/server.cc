@@ -117,8 +117,7 @@ std::string Server::Dispatch(const ServeRequest& request) {
   throw RequestError("bad_request", "unhandled request kind");
 }
 
-Server::PlanEntryPtr Server::PlanFor(const ServeRequest& request,
-                                     std::uint64_t* fingerprint) {
+Server::Planned Server::PlanFor(const ServeRequest& request) {
   model::ModelProfile model = [&] {
     try {
       return model::ModelByName(request.model);
@@ -126,26 +125,27 @@ Server::PlanEntryPtr Server::PlanFor(const ServeRequest& request,
       throw RequestError("unknown_model", e.what());
     }
   }();
-  const topo::Cluster cluster = topo::MakeConfig(request.config, request.servers);
+  topo::Cluster cluster = topo::MakeConfig(request.config, request.servers);
 
   planner::PlannerOptions options = request.ToPlannerOptions();
   options.cache_entries_per_shard = options_.stage_cache_entries_per_shard;
   // The fingerprint covers only plan-affecting inputs; thread counts and
   // cache bounds are excluded by FingerprintPlannerOptions.
   const std::uint64_t key = FingerprintPlanRequest(model, cluster, request.gbs, options);
-  if (fingerprint) *fingerprint = key;
+  Planned planned{std::move(model), std::move(cluster), runtime::RunOptionsFor(options), key,
+                  nullptr};
 
   auto& metrics = obs::MetricsRegistry::Global();
   if (std::optional<PlanEntryPtr> cached = cache_.Lookup(key)) {
     metrics.counter("serve.cache.hits").Increment();
-    return *cached;
+    planned.entry = *cached;
+    return planned;
   }
   metrics.counter("serve.cache.misses").Increment();
 
-  Session session(model, cluster);
-  planner::PlanResult planned;
+  planner::PlanResult result;
   try {
-    planned = session.Plan(request.gbs, options);
+    result = runtime::PlanPipeline(planned.model, planned.cluster, options, planned.run);
   } catch (const Error& e) {
     // The planner throws exactly when no feasible plan exists (e.g. an
     // infeasible memory cap even with recomputation everywhere). The
@@ -153,12 +153,12 @@ Server::PlanEntryPtr Server::PlanFor(const ServeRequest& request,
     throw RequestError("infeasible", e.what());
   }
 
-  auto entry = std::make_shared<const PlanEntry>(PlanEntry{
-      planned.plan, planned.estimate, planner::SerializePlan(planned.plan),
-      planned.stats.recompute_stages});
-  cache_.Insert(key, entry);
+  planned.entry = std::make_shared<const PlanEntry>(PlanEntry{
+      result.plan, result.estimate, planner::SerializePlan(result.plan),
+      result.stats.recompute_stages});
+  cache_.Insert(key, planned.entry);
   ExportCacheCounters();
-  return entry;
+  return planned;
 }
 
 void Server::ExportCacheCounters() {
@@ -176,70 +176,48 @@ void Server::ExportCacheCounters() {
   }
 }
 
-namespace {
-
-/// The response fields shared by every plan-carrying response kind.
-void WritePlanFields(obs::JsonWriter& w, const ServeRequest& request,
-                     std::uint64_t fingerprint, const planner::ParallelPlan& plan,
-                     const planner::PlanEstimate& estimate, const std::string& plan_text,
-                     int recompute_stages) {
+void Server::BeginPlanResponse(obs::JsonWriter& w, const ServeRequest& request,
+                               const char* kind, const Planned& planned) {
+  const PlanEntry& entry = *planned.entry;
+  w.BeginObject();
+  if (!request.id.empty()) w.Field("id", request.id);
+  w.Field("ok", true);
+  w.Field("kind", kind);
   w.Field("model", request.model);
   w.Field("config", std::string(1, request.config));
   w.Field("servers", request.servers);
   w.Field("gbs", static_cast<std::int64_t>(request.gbs));
   w.Field("schedule", runtime::ToString(request.schedule));
-  w.Field("fingerprint", FingerprintToString(fingerprint));
-  w.Field("plan", plan.ToString());
-  w.Field("split", plan.SplitString());
-  w.Field("plan_text", plan_text);
-  w.Field("stages", plan.num_stages());
-  w.Field("devices", plan.num_devices());
-  w.Field("latency", estimate.latency);
-  w.Field("acr", estimate.acr);
-  w.Field("speedup", estimate.speedup);
-  w.Field("micro_batch_size", estimate.micro_batch_size);
-  w.Field("num_micro_batches", estimate.num_micro_batches);
-  w.Field("peak_memory", estimate.max_peak_memory);
+  w.Field("fingerprint", FingerprintToString(planned.fingerprint));
+  w.Field("plan", entry.plan.ToString());
+  w.Field("split", entry.plan.SplitString());
+  w.Field("plan_text", entry.plan_text);
+  w.Field("stages", entry.plan.num_stages());
+  w.Field("devices", entry.plan.num_devices());
+  w.Field("latency", entry.estimate.latency);
+  w.Field("acr", entry.estimate.acr);
+  w.Field("speedup", entry.estimate.speedup);
+  w.Field("micro_batch_size", entry.estimate.micro_batch_size);
+  w.Field("num_micro_batches", entry.estimate.num_micro_batches);
+  w.Field("peak_memory", entry.estimate.max_peak_memory);
   w.Field("memory_cap", request.memory_cap);
-  w.Field("recompute_stages", recompute_stages);
+  w.Field("recompute_stages", entry.recompute_stages);
 }
 
-}  // namespace
-
 std::string Server::HandlePlan(const ServeRequest& request) {
-  std::uint64_t fingerprint = 0;
-  const PlanEntryPtr entry = PlanFor(request, &fingerprint);
   obs::JsonWriter w(obs::JsonWriter::Layout::kCompact);
-  w.BeginObject();
-  if (!request.id.empty()) w.Field("id", request.id);
-  w.Field("ok", true);
-  w.Field("kind", "plan");
-  WritePlanFields(w, request, fingerprint, entry->plan, entry->estimate, entry->plan_text,
-                  entry->recompute_stages);
+  BeginPlanResponse(w, request, "plan", PlanFor(request));
   w.EndObject();
   return w.str();
 }
 
 std::string Server::HandleSimulate(const ServeRequest& request) {
-  std::uint64_t fingerprint = 0;
-  const PlanEntryPtr entry = PlanFor(request, &fingerprint);
-  const model::ModelProfile model = model::ModelByName(request.model);
-  const topo::Cluster cluster = topo::MakeConfig(request.config, request.servers);
-
-  runtime::BuildOptions options;
-  options.global_batch_size = request.gbs;
-  options.schedule.kind = request.schedule;
-  options.memory_cap = request.memory_cap;
-  runtime::PipelineExecutor executor(model, cluster, entry->plan, options);
+  const Planned planned = PlanFor(request);
+  const runtime::PipelineExecutor executor(planned.model, planned.cluster,
+                                           planned.entry->plan, planned.run);
   const runtime::IterationReport report = executor.Run();
-
   obs::JsonWriter w(obs::JsonWriter::Layout::kCompact);
-  w.BeginObject();
-  if (!request.id.empty()) w.Field("id", request.id);
-  w.Field("ok", true);
-  w.Field("kind", "simulate");
-  WritePlanFields(w, request, fingerprint, entry->plan, entry->estimate, entry->plan_text,
-                  entry->recompute_stages);
+  BeginPlanResponse(w, request, "simulate", planned);
   w.Field("simulated_latency", report.pipeline_latency);
   w.Field("throughput", report.throughput);
   w.Field("simulated_speedup", report.speedup);
@@ -252,27 +230,14 @@ std::string Server::HandleSimulate(const ServeRequest& request) {
 }
 
 std::string Server::HandleReport(const ServeRequest& request) {
-  std::uint64_t fingerprint = 0;
-  const PlanEntryPtr entry = PlanFor(request, &fingerprint);
-  const model::ModelProfile model = model::ModelByName(request.model);
-  const topo::Cluster cluster = topo::MakeConfig(request.config, request.servers);
-
-  runtime::BuildOptions options;
-  options.global_batch_size = request.gbs;
-  options.schedule.kind = request.schedule;
-  options.memory_cap = request.memory_cap;
-  runtime::PipelineExecutor executor(model, cluster, entry->plan, options);
-  const runtime::ExecutionDetail detail = executor.RunDetailed();
+  const Planned planned = PlanFor(request);
+  const runtime::BuiltPipeline built =
+      runtime::GraphBuilder(planned.model, planned.cluster, planned.entry->plan, planned.run)
+          .Build();
   const obs::IterationReport report =
-      obs::BuildIterationReport(detail.pipeline, detail.result);
-
+      obs::BuildIterationReport(built, sim::Engine::Run(built.graph, built.engine_options));
   obs::JsonWriter w(obs::JsonWriter::Layout::kCompact);
-  w.BeginObject();
-  if (!request.id.empty()) w.Field("id", request.id);
-  w.Field("ok", true);
-  w.Field("kind", "report");
-  WritePlanFields(w, request, fingerprint, entry->plan, entry->estimate, entry->plan_text,
-                  entry->recompute_stages);
+  BeginPlanResponse(w, request, "report", planned);
   w.Key("report");
   obs::WriteJson(w, report);
   w.EndObject();

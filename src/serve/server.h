@@ -26,9 +26,13 @@
 #include <vector>
 
 #include "common/sharded_cache.h"
+#include "model/profile.h"
+#include "obs/json.h"
 #include "planner/dp_planner.h"
+#include "runtime/graph_builder.h"
 #include "serve/protocol.h"
 #include "sim/batch.h"
+#include "topo/cluster.h"
 
 namespace dapple::serve {
 
@@ -96,8 +100,20 @@ class Server {
   std::string HandleReport(const ServeRequest& request);
   std::string HandleStats(const ServeRequest& request);
 
-  /// The cached (or freshly planned and inserted) result for a request.
-  PlanEntryPtr PlanFor(const ServeRequest& request, std::uint64_t* fingerprint);
+  /// A request resolved once: model, cluster, the cached (or freshly planned
+  /// and inserted) plan and the build it runs with (RunOptionsFor).
+  struct Planned {
+    model::ModelProfile model;
+    topo::Cluster cluster;
+    runtime::BuildOptions run;
+    std::uint64_t fingerprint = 0;
+    PlanEntryPtr entry;
+  };
+  Planned PlanFor(const ServeRequest& request);
+
+  /// Opens a plan-carrying response: id, ok, kind and the plan fields.
+  static void BeginPlanResponse(obs::JsonWriter& w, const ServeRequest& request,
+                                const char* kind, const Planned& planned);
 
   void ExportCacheCounters();
 

@@ -5,7 +5,7 @@
 //  - outputs land in pre-sized slots indexed by job position, so result
 //    order never depends on scheduling;
 //  - each worker thread simulates through Engine::Run, whose flatten
-//    buffers and event heaps are thread-local, so concurrent runs share
+//    buffers and event heaps belong to the run, so concurrent runs share
 //    no mutable state;
 //  - the first exception *by job index* wins, exactly as a serial loop
 //    would throw it — not whichever worker faulted first on the clock.

@@ -1,8 +1,11 @@
 #include "sim/engine.h"
 
 #include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory_resource>
 #include <queue>
 #include <set>
 #include <sstream>
@@ -129,7 +132,7 @@ void IndexProfiles(const EngineOptions& options, int num_resources,
   throw Error(os.str());
 }
 
-// --- Engine (structure-of-arrays layout + thread-local arena) --------------
+// --- Engine (structure-of-arrays layout + per-run arena) -------------------
 
 /// Packs (priority, id) into one unsigned key whose integer order equals
 /// the lexicographic dispatch order: the signed priority is biased into the
@@ -147,8 +150,8 @@ inline TaskId KeyTask(std::uint64_t key) {
 /// Everything one Engine run needs besides the SimResult: the graph
 /// flattened into per-field arrays (the hot fields of each Task without its
 /// cold name string, successors as CSR spans) and the event-loop state.
-/// Every vector is re-armed with resize()/assign()/clear(), which keep
-/// capacity, so after the first run of a given shape nothing allocates.
+/// Each Engine::Run owns one and simulates once on it, so its buffers are
+/// sized to that graph and released when the run returns.
 class Arena {
  public:
   SimResult Simulate(const TaskGraph& graph, const EngineOptions& options);
@@ -165,29 +168,35 @@ class Arena {
   /// remaining-predecessor counters.
   void Flatten(const TaskGraph& graph);
 
+  /// The arrays below bump-allocate from 32 KiB inside the Arena (on
+  /// Engine::Run's stack, enough for a few-hundred-task graph), then from
+  /// geometric heap chunks, all released together when the run returns.
+  std::array<std::byte, 32 << 10> inline_buffer_;
+  std::pmr::monotonic_buffer_resource memory_{inline_buffer_.data(), inline_buffer_.size()};
+
   // Per-task arrays, indexed by TaskId.
-  std::vector<TimeSec> duration_;
-  std::vector<std::int32_t> resource_;
-  std::vector<std::uint8_t> is_compute_;
+  std::pmr::vector<TimeSec> duration_{&memory_};
+  std::pmr::vector<std::int32_t> resource_{&memory_};
+  std::pmr::vector<std::uint8_t> is_compute_{&memory_};
   /// Pool affected at start (alloc) / end (free); -1 when the task has no
   /// such effect, folding the `pool >= 0 && bytes > 0` test into one sign
   /// check.
-  std::vector<std::int32_t> alloc_pool_;
-  std::vector<std::int32_t> free_pool_;
-  std::vector<Bytes> alloc_bytes_;
-  std::vector<Bytes> free_bytes_;
-  std::vector<std::uint64_t> ready_key_;
+  std::pmr::vector<std::int32_t> alloc_pool_{&memory_};
+  std::pmr::vector<std::int32_t> free_pool_{&memory_};
+  std::pmr::vector<Bytes> alloc_bytes_{&memory_};
+  std::pmr::vector<Bytes> free_bytes_{&memory_};
+  std::pmr::vector<std::uint64_t> ready_key_{&memory_};
   /// Successors of task t are succ_[succ_offsets_[t] .. succ_offsets_[t+1]).
-  std::vector<std::int32_t> succ_offsets_;
-  std::vector<std::int32_t> succ_;
-  std::vector<std::int32_t> pending_;  // remaining predecessors
+  std::pmr::vector<std::int32_t> succ_offsets_{&memory_};
+  std::pmr::vector<std::int32_t> succ_{&memory_};
+  std::pmr::vector<std::int32_t> pending_{&memory_};  // remaining predecessors
 
   // Event-loop state.
   std::vector<const ResourceSpeedProfile*> profile_of_;
-  std::vector<std::vector<std::uint64_t>> ready_;  // packed min-heap per resource
-  std::vector<std::uint8_t> busy_;                 // resource occupied flag
-  std::vector<Completion> completions_;
-  std::vector<std::int32_t> wake_;
+  std::pmr::vector<std::pmr::vector<std::uint64_t>> ready_{&memory_};  // min-heap per resource
+  std::pmr::vector<std::uint8_t> busy_{&memory_};  // resource occupied flag
+  std::pmr::vector<Completion> completions_{&memory_};
+  std::pmr::vector<std::int32_t> wake_{&memory_};
 };
 
 void Arena::Flatten(const TaskGraph& graph) {
@@ -261,13 +270,8 @@ SimResult Arena::Simulate(const TaskGraph& graph, const EngineOptions& options) 
   profile_of_.assign(static_cast<std::size_t>(num_resources), nullptr);
   IndexProfiles(options, num_resources, profile_of_);
   const bool any_profile = !options.resource_speeds.empty();
-  if (ready_.size() < static_cast<std::size_t>(num_resources)) {
-    ready_.resize(static_cast<std::size_t>(num_resources));
-  }
-  for (int r = 0; r < num_resources; ++r) ready_[static_cast<std::size_t>(r)].clear();
+  ready_.resize(static_cast<std::size_t>(num_resources));
   busy_.assign(static_cast<std::size_t>(num_resources), 0);
-  completions_.clear();
-  wake_.clear();
 
   TaskRecord* const records = result.records.data();
   int executed = 0;
@@ -394,7 +398,7 @@ SimResult Arena::Simulate(const TaskGraph& graph, const EngineOptions& options) 
 }  // namespace
 
 SimResult Engine::Run(const TaskGraph& graph, EngineOptions options) {
-  thread_local Arena arena;
+  Arena arena;
   return arena.Simulate(graph, options);
 }
 

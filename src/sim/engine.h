@@ -126,11 +126,10 @@ struct EngineOptions {
 /// sifts compare a single integer — then drives the event loop over those
 /// arrays instead of the ~100-byte Task records. The flatten buffers, the
 /// ready heaps (one per resource), the completion heap and every
-/// bookkeeping vector live in a thread-local arena that keeps its capacity
-/// across runs, so each thread — each sim::BatchRunner worker in particular
-/// — pays one linear copy and no per-event allocation once warmed, and
-/// concurrent runs never share mutable state. (The returned SimResult still
-/// allocates its records/pools — per run, not per event.)
+/// bookkeeping vector live in an arena each run allocates and frees, so a
+/// run pays one linear copy and no per-event allocation, concurrent runs
+/// share no mutable state, and no thread keeps a past run's buffers. (The
+/// returned SimResult allocates its records/pools — per run, not per event.)
 class Engine {
  public:
   Engine() = delete;

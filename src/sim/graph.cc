@@ -12,10 +12,20 @@ TaskId TaskGraph::AddTask(Task task) {
   const TaskId id = static_cast<TaskId>(tasks_.size());
   task.id = id;
   tasks_.push_back(std::move(task));
-  successors_.emplace_back();
-  predecessors_.emplace_back();
+  // Pipeline tasks rarely have more than four edges either way: one
+  // allocation per edge list instead of a growth series.
+  successors_.emplace_back().reserve(4);
+  predecessors_.emplace_back().reserve(4);
   in_degree_.push_back(0);
   return id;
+}
+
+void TaskGraph::Reserve(int num_tasks) {
+  const auto n = static_cast<std::size_t>(num_tasks);
+  tasks_.reserve(n);
+  successors_.reserve(n);
+  predecessors_.reserve(n);
+  in_degree_.reserve(n);
 }
 
 void TaskGraph::AddEdge(TaskId predecessor, TaskId successor) {

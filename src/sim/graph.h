@@ -17,6 +17,10 @@ class TaskGraph {
   /// by the graph.
   TaskId AddTask(Task task);
 
+  /// Pre-sizes the graph for `num_tasks` tasks, so building it never moves
+  /// the tasks already added.
+  void Reserve(int num_tasks);
+
   /// Declares that `successor` starts only after `predecessor` completes.
   /// Duplicate edges are tolerated (counted once per insertion; the engine
   /// tracks in-degree, so duplicates are semantically harmless but wasteful —

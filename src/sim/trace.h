@@ -11,8 +11,8 @@
 namespace dapple::sim {
 
 /// Renders one lane per resource. Forward tasks print the micro-batch index
-/// digit, backward tasks print the index as a letter (0->a), recompute 'r',
-/// transfers '-', allreduce '#', apply '='. Idle time is '.'.
+/// digit, backward tasks a letter (0->a), 2BP weight halves a capital (0->A),
+/// recompute 'r', transfers '-', allreduce '#', apply '='. Idle time is '.'.
 std::string RenderGantt(const TaskGraph& graph, const SimResult& result, int width = 100);
 
 /// Renders a pool's resident-bytes trajectory as a `height`-row bar plot

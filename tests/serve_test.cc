@@ -251,6 +251,21 @@ TEST(ServeServer, StatsRequestReportsCacheAndLatency) {
   EXPECT_NE(response.find("\"p99\""), std::string::npos);
 }
 
+TEST(ServeServer, SimulateRunsThePlanUnderItsOwnRecompute) {
+  // The plan is fitted under the cap with recomputation on every stage, so
+  // its simulation must recompute too: without it the same plan peaks at
+  // ~4.94 GB and reports an OOM against the 4.8 GB cap it was planned for.
+  Server server;
+  const std::string response = server.HandleLine(
+      "{\"kind\":\"simulate\",\"model\":\"GNMT-16\",\"config\":\"A\",\"servers\":1,"
+      "\"gbs\":64,\"recompute\":\"all\",\"memory_cap\":4800000000}");
+  const JsonValue doc = ParseJson(response);
+  ASSERT_TRUE(doc.Get("ok").AsBool()) << response;
+  EXPECT_FALSE(doc.Get("oom").AsBool()) << response;
+  EXPECT_LE(doc.Get("max_peak_memory").AsInt(), 4800000000) << response;
+  EXPECT_LE(doc.Get("peak_memory").AsInt(), 4800000000) << response;
+}
+
 // ----------------------------------------------------------- transport --
 
 std::string UnixRoundTrip(const std::string& path, const std::string& payload) {

@@ -136,9 +136,9 @@ TEST(Engine, SimultaneousEqualPriorityCompletionsDrainById) {
   EXPECT_DOUBLE_EQ(ref.records[y2].start, 2.0);
 }
 
-// Engine::Run reuses one thread-local arena (flatten buffers, heaps,
-// counters) across calls; back-to-back runs of different shapes on one
-// thread must not leak state between runs.
+// Each Engine::Run allocates its own arena (flatten buffers, heaps,
+// counters); back-to-back runs of different shapes on one thread must be
+// independent of each other and of the order they run in.
 TEST(Engine, ArenaReuseAcrossShapes) {
   TaskGraph small;
   small.AddTask(MakeTask("s", 0, 1.0));
@@ -155,8 +155,8 @@ TEST(Engine, ArenaReuseAcrossShapes) {
   ASSERT_EQ(small_between.records.size(), 1u);
   EXPECT_EQ(small_between.resources[0].tasks_executed, 1);
   ASSERT_EQ(big_first.records.size(), big_again.records.size());
-  // The shrunken run in between must not have left the arena in a state
-  // that differs from a fresh one: both big runs equal the oracle exactly.
+  // The small run in between must not change the big one: both big runs
+  // equal the oracle exactly.
   const SimResult oracle = RunReferenceEngine(big);
   for (std::size_t i = 0; i < big_first.records.size(); ++i) {
     EXPECT_EQ(big_first.records[i].start, oracle.records[i].start);

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include "model/zoo.h"
+#include "planner/plan.h"
+#include "runtime/graph_builder.h"
 #include "sim/engine.h"
 #include "sim/trace.h"
+#include "topo/cluster.h"
 
 namespace dapple::sim {
 namespace {
@@ -87,6 +91,35 @@ TEST(Trace, GlyphsForAllKinds) {
   EXPECT_NE(gantt.find('-'), std::string::npos);   // transfer
   EXPECT_NE(gantt.find('#'), std::string::npos);   // allreduce
   EXPECT_NE(gantt.find('='), std::string::npos);   // apply
+}
+
+// A 2BP pipeline emits deferred backward-weight tasks; every one of them
+// must draw as its micro-batch's capital letter, never as the '?' fallback.
+TEST(Trace, GanttDrawsTwoBpWeightHalves) {
+  const auto model = model::MakeUniformSynthetic(4, 0.002, 0.004, 1 << 20, 1'000'000);
+  const topo::Cluster cluster = topo::MakeConfigB(2);
+  planner::ParallelPlan plan;
+  plan.model = model.name();
+  plan.stages.push_back({0, 2, topo::DeviceSet::Range(0, 1)});
+  plan.stages.push_back({2, 4, topo::DeviceSet::Range(1, 1)});
+  runtime::BuildOptions options;
+  options.global_batch_size = 4;
+  options.micro_batch_size = 1;
+  options.schedule.kind = runtime::ScheduleKind::kDappleSplitBw;
+  const runtime::BuiltPipeline built =
+      runtime::GraphBuilder(model, cluster, plan, options).Build();
+  int weight_halves = 0;
+  for (TaskId t = 0; t < built.graph.num_tasks(); ++t) {
+    weight_halves += built.graph.task(t).kind == TaskKind::kBackwardWeight ? 1 : 0;
+  }
+  ASSERT_GT(weight_halves, 0);
+
+  const std::string gantt =
+      RenderGantt(built.graph, Engine::Run(built.graph, built.engine_options), 200);
+  EXPECT_EQ(gantt.find('?'), std::string::npos) << gantt;
+  for (char glyph : {'A', 'B', 'C', 'D'}) {  // weight halves of micro-batches 0..3
+    EXPECT_NE(gantt.find(glyph), std::string::npos) << glyph << "\n" << gantt;
+  }
 }
 
 TEST(TaskKinds, ComputeClassification) {

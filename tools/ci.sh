@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Local CI: configure + build + test the tree twice — once plain, once
-# under AddressSanitizer/UBSan (DAPPLE_SANITIZE=address,undefined).
+# under AddressSanitizer/UBSan (DAPPLE_SANITIZE=address,undefined) — both
+# with warnings as errors (DAPPLE_WERROR=ON).
 #
 #   tools/ci.sh [build-dir-prefix]
 #
@@ -67,10 +68,10 @@ run_suite() {
   ctest --test-dir "${dir}" "${label_args[@]}" --output-on-failure -j "${jobs}"
 }
 
-run_suite "${prefix}"
+run_suite "${prefix}" -DDAPPLE_WERROR=ON
 # Sanitizer instrumentation would distort perf-smoke's timing columns, and
 # the determinism sweep it carries already ran under ASan in the unit tier.
 if [[ "${tier}" != "perf-smoke" ]]; then
-  run_suite "${prefix}-asan" -DDAPPLE_SANITIZE=address,undefined
+  run_suite "${prefix}-asan" -DDAPPLE_WERROR=ON -DDAPPLE_SANITIZE=address,undefined
 fi
 echo "=== ci ok"

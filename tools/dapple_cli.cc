@@ -10,12 +10,15 @@
 //       stage-by-stage (cheapest first) when nothing fits otherwise.
 //   dapple run <model> <config> <servers> <gbs>
 //              [--plan FILE] [--schedule dapple|gpipe|dapple-2bp|v-min|v-half] [--recompute]
-//              [--gantt] [--trace FILE.json]
+//              [--memory-cap BYTES] [--gantt] [--trace FILE.json]
 //       Execute one iteration on the simulated cluster; optionally render
-//       an ASCII Gantt chart or export a chrome://tracing JSON file.
+//       an ASCII Gantt chart or export a chrome://tracing JSON file. Without
+//       --plan, the plan is chosen under the same schedule, recompute and
+//       cap the iteration then runs with.
 //   dapple report <model> <config> <servers> <gbs>
 //              [--plan FILE] [--schedule dapple|gpipe|dapple-2bp|v-min|v-half] [--recompute]
-//              [--json FILE] [--peak-vs-m M1,M2,...] [--prefilter=off|auto]
+//              [--memory-cap BYTES] [--json FILE] [--peak-vs-m M1,M2,...]
+//              [--prefilter=off|auto]
 //   dapple report --fig3 [--json FILE]
 //       Execute one iteration and print the structured iteration report
 //       (bubble ratios, time split, phases, links, memory); --json exports
@@ -123,6 +126,9 @@ class FlagParser {
     return true;
   }
 
+  /// Records an error found in a matched flag's value.
+  void Fail() { ok_ = false; }
+
   /// Ends an if/else chain: the current token matched nothing.
   void Unknown() {
     if (Done()) return;
@@ -218,8 +224,7 @@ int CmdPlan(int argc, char** argv) {
   }
   if (!flags.ok()) return Usage();
 
-  Session session(m, cluster);
-  const auto planned = session.Plan(gbs, planner_options);
+  const auto planned = Session(m, cluster).Plan(gbs, planner_options);
   std::printf("plan: %s (split %s), estimated latency %s, ACR %.2f\n",
               planned.plan.ToString().c_str(), planned.plan.SplitString().c_str(),
               FormatTime(planned.estimate.latency).c_str(), planned.estimate.acr);
@@ -246,6 +251,35 @@ int CmdPlan(int argc, char** argv) {
   return 0;
 }
 
+/// Parses --schedule, --recompute or --memory-cap into the one PlannerOptions
+/// `run` and `report` both plan and run under; false for any other flag.
+bool MatchRunFlag(FlagParser& flags, planner::PlannerOptions& options) {
+  std::string v;
+  if (flags.MatchValue("--schedule", &v)) {
+    if (!runtime::ParseScheduleKind(v, &options.latency.schedule_kind)) {
+      std::fprintf(stderr, "unknown schedule kind '%s'\n", v.c_str());
+      flags.Fail();
+    }
+  } else if (flags.Match("--recompute")) {
+    options.recompute = planner::RecomputePolicy::kAll;
+  } else if (flags.MatchValue("--memory-cap", &v)) {
+    options.memory_cap = ParseBytes(v);
+  } else {
+    return false;
+  }
+  return true;
+}
+
+/// The plan saved at `path`, else one planned for the build it runs with.
+planner::ParallelPlan PlanOrLoad(const model::ModelProfile& m, const topo::Cluster& cluster,
+                                 const planner::PlannerOptions& options,
+                                 const std::string& path) {
+  if (path.empty()) return Session(m, cluster).Plan(options.global_batch_size, options).plan;
+  planner::ParallelPlan plan = planner::LoadPlan(path);
+  plan.Validate(m);
+  return plan;
+}
+
 int CmdRun(int argc, char** argv) {
   if (argc < 4) return Usage();
   const model::ModelProfile m = model::ModelByName(argv[0]);
@@ -253,24 +287,16 @@ int CmdRun(int argc, char** argv) {
   const long gbs = std::atol(argv[3]);
 
   std::string plan_path, trace_path, v;
-  runtime::BuildOptions options;
-  options.global_batch_size = gbs;
+  planner::PlannerOptions planner_options;
+  planner_options.global_batch_size = gbs;
   bool gantt = false;
   FlagParser flags(argc - 4, argv + 4);
   while (!flags.Done()) {
+    if (MatchRunFlag(flags, planner_options)) continue;
     if (flags.MatchValue("--plan", &v)) {
       plan_path = v;
     } else if (flags.MatchValue("--trace", &v)) {
       trace_path = v;
-    } else if (flags.MatchValue("--schedule", &v)) {
-      if (!runtime::ParseScheduleKind(v, &options.schedule.kind)) {
-        std::fprintf(stderr, "unknown schedule kind '%s'\n", v.c_str());
-        return Usage();
-      }
-    } else if (flags.Match("--recompute")) {
-      options.schedule.recompute = true;
-    } else if (flags.MatchValue("--memory-cap", &v)) {
-      options.memory_cap = ParseBytes(v);
     } else if (flags.Match("--gantt")) {
       gantt = true;
     } else {
@@ -279,21 +305,10 @@ int CmdRun(int argc, char** argv) {
   }
   if (!flags.ok()) return Usage();
 
-  Session session(m, cluster);
-  planner::ParallelPlan plan;
-  if (!plan_path.empty()) {
-    plan = planner::LoadPlan(plan_path);
-    plan.Validate(m);
-  } else {
-    // Plan under the same cap the simulator will enforce, so a capped run
-    // gets a plan that fits (or a refusal) instead of an OOM'd report.
-    planner::PlannerOptions planner_options;
-    planner_options.memory_cap = options.memory_cap;
-    plan = session.Plan(gbs, planner_options).plan;
-  }
-
-  runtime::PipelineExecutor executor(m, cluster, plan, options);
-  const runtime::ExecutionDetail detail = executor.RunDetailed();
+  const planner::ParallelPlan plan = PlanOrLoad(m, cluster, planner_options, plan_path);
+  const runtime::BuildOptions options = runtime::RunOptionsFor(planner_options);
+  const runtime::ExecutionDetail detail =
+      runtime::PipelineExecutor(m, cluster, plan, options).RunDetailed();
   const runtime::IterationReport& r = detail.report;
   std::printf("plan %s (split %s) under %s schedule%s\n", plan.ToString().c_str(),
               plan.SplitString().c_str(), runtime::ToString(options.schedule.kind),
@@ -393,23 +408,15 @@ int CmdReport(int argc, char** argv) {
   std::vector<int> curve_counts;
   int sim_threads = 1;
   bool curve_prefilter = false;
-  runtime::BuildOptions options;
-  options.global_batch_size = gbs;
+  planner::PlannerOptions planner_options;
+  planner_options.global_batch_size = gbs;
   FlagParser flags(argc - 4, argv + 4);
   while (!flags.Done()) {
+    if (MatchRunFlag(flags, planner_options)) continue;
     if (flags.MatchValue("--plan", &v)) {
       plan_path = v;
     } else if (flags.MatchValue("--json", &v)) {
       json_path = v;
-    } else if (flags.MatchValue("--schedule", &v)) {
-      if (!runtime::ParseScheduleKind(v, &options.schedule.kind)) {
-        std::fprintf(stderr, "unknown schedule kind '%s'\n", v.c_str());
-        return Usage();
-      }
-    } else if (flags.Match("--recompute")) {
-      options.schedule.recompute = true;
-    } else if (flags.MatchValue("--memory-cap", &v)) {
-      options.memory_cap = ParseBytes(v);
     } else if (flags.MatchValue("--peak-vs-m", &v)) {
       for (const char* p = v.c_str(); *p;) {
         curve_counts.push_back(std::atoi(p));
@@ -436,22 +443,11 @@ int CmdReport(int argc, char** argv) {
   }
   if (!flags.ok()) return Usage();
 
-  Session session(m, cluster);
-  planner::ParallelPlan plan;
-  if (!plan_path.empty()) {
-    plan = planner::LoadPlan(plan_path);
-    plan.Validate(m);
-  } else {
-    // Plan under the same cap the simulator will enforce (see CmdRun).
-    planner::PlannerOptions planner_options;
-    planner_options.memory_cap = options.memory_cap;
-    plan = session.Plan(gbs, planner_options).plan;
-  }
-
-  runtime::PipelineExecutor executor(m, cluster, plan, options);
-  const runtime::ExecutionDetail detail = executor.RunDetailed();
+  const planner::ParallelPlan plan = PlanOrLoad(m, cluster, planner_options, plan_path);
+  const runtime::BuildOptions options = runtime::RunOptionsFor(planner_options);
+  const runtime::BuiltPipeline built = runtime::GraphBuilder(m, cluster, plan, options).Build();
   const obs::IterationReport report =
-      obs::BuildIterationReport(detail.pipeline, detail.result);
+      obs::BuildIterationReport(built, sim::Engine::Run(built.graph, built.engine_options));
   std::printf("%s", obs::ToText(report).c_str());
 
   if (!curve_counts.empty()) {
@@ -492,6 +488,12 @@ std::string ReadTextFile(const std::string& path) {
   while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
   std::fclose(f);
   return text;
+}
+
+/// "all" or one recovery policy name.
+std::vector<fault::RecoveryPolicy> PoliciesFor(const std::string& arg) {
+  if (arg == "all") return fault::AllRecoveryPolicies();
+  return {fault::ParseRecoveryPolicy(arg)};
 }
 
 int CmdFaults(int argc, char** argv) {
@@ -554,24 +556,10 @@ int CmdFaults(int argc, char** argv) {
   script.Validate(cluster);
   std::printf("fault script:\n%s", script.ToString().c_str());
 
-  Session session(m, cluster);
-  planner::ParallelPlan plan;
-  if (!plan_path.empty()) {
-    plan = planner::LoadPlan(plan_path);
-    plan.Validate(m);
-  } else {
-    plan = session.Plan(gbs).plan;
-  }
-
-  std::vector<fault::RecoveryPolicy> policies;
-  if (policy_arg == "all") {
-    policies = fault::AllRecoveryPolicies();
-  } else {
-    policies = {fault::ParseRecoveryPolicy(policy_arg)};
-  }
-
-  const std::vector<fault::FaultReport> reports =
-      fault::RunFaultPolicySweep(m, cluster, plan, script, policies, options, sim_threads);
+  options.planner.global_batch_size = gbs;
+  const planner::ParallelPlan plan = PlanOrLoad(m, cluster, options.planner, plan_path);
+  const std::vector<fault::FaultReport> reports = fault::RunFaultPolicySweep(
+      m, cluster, plan, script, PoliciesFor(policy_arg), options, sim_threads);
 
   if (reports.size() == 1) {
     std::printf("%s", fault::ToText(reports[0]).c_str());
@@ -653,15 +641,8 @@ int CmdScenario(int argc, char** argv) {
     return Usage();
   }
 
-  Session session(m, cluster);
-  const planner::ParallelPlan plan = session.Plan(gbs).plan;
-
-  std::vector<fault::RecoveryPolicy> policies;
-  if (policy_arg == "all") {
-    policies = fault::AllRecoveryPolicies();
-  } else {
-    policies = {fault::ParseRecoveryPolicy(policy_arg)};
-  }
+  const std::vector<fault::RecoveryPolicy> policies = PoliciesFor(policy_arg);
+  const planner::ParallelPlan plan = Session(m, cluster).Plan(gbs).plan;
 
   std::printf("churn=%s, %d episode(s) from seed %llu, horizon %.6g s, plan %s\n",
               scenario::ToString(churn), episodes,
